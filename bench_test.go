@@ -152,22 +152,26 @@ func BenchmarkSUSYTrajectory(b *testing.B) {
 // instrumentation point to a nil check, so the two sub-benchmarks must be
 // indistinguishable within noise.
 func benchEngine(b *testing.B, name string, params map[string]int64, profile bool) {
+	benchCampaign(b, name, core.Config{Params: params, Iterations: 40, Seed: 7}, profile)
+}
+
+// benchCampaign repeats the campaign cfg describes on the named target, with
+// reduction and the MPI framework on, and reports iterations/s/core.
+func benchCampaign(b *testing.B, name string, cfg core.Config, profile bool) {
 	prog, ok := target.Lookup(name)
 	if !ok {
 		b.Fatalf("target %q not registered", name)
 	}
+	cfg.Program, cfg.Reduction, cfg.Framework = prog, true, true
+	cfg.RunTimeout = 30 * time.Second
 	b.ReportAllocs()
 	iters := 0
 	for i := 0; i < b.N; i++ {
-		cfg := core.Config{
-			Program: prog, Params: params, Iterations: 40,
-			Reduction: true, Framework: true, Seed: 7,
-			RunTimeout: 30 * time.Second,
-		}
+		run := cfg
 		if profile {
-			cfg.Profiler = binstat.New()
+			run.Profiler = binstat.New()
 		}
-		res := core.NewEngine(cfg).Run()
+		res := core.NewEngine(run).Run()
 		iters += len(res.Iterations)
 	}
 	b.StopTimer()
@@ -189,6 +193,17 @@ func BenchmarkEngineHPL(b *testing.B) {
 func BenchmarkEngineSUSY(b *testing.B) {
 	b.Run("profile=off", func(b *testing.B) { benchEngine(b, "susy-hmc", susy.FixAll(), false) })
 	b.Run("profile=on", func(b *testing.B) { benchEngine(b, "susy-hmc", susy.FixAll(), true) })
+}
+
+// BenchmarkEngineSUSYLong is the long-campaign trajectory: 150 SUSY-HMC
+// iterations at seed 5 with a 30-execution DFS phase, which runs past the
+// DFS phase into constraint sets of hundreds of predicates. The 40-iteration
+// benchmarks above never reach that regime, where canonicalizing constraint
+// sets for the solver cache once cost more than solving them.
+func BenchmarkEngineSUSYLong(b *testing.B) {
+	benchCampaign(b, "susy-hmc", core.Config{
+		Params: susy.FixAll(), Iterations: 150, DFSPhase: 30, Seed: 5,
+	}, false)
 }
 
 // solverCall is one recorded engine→solver request.

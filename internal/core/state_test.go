@@ -117,7 +117,6 @@ func TestRestoreValidation(t *testing.T) {
 			Caps: map[string]int64{"zz": 1}}, "not declared"},
 		{"stats/iters mismatch", Snapshot{Program: "skeleton", Iters: 3,
 			Stats: []IterationStat{{Iter: 0}}}, "iteration stats"},
-		{"bad refuted key", Snapshot{Program: "skeleton", Refuted: []string{"nothex"}}, "refuted"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

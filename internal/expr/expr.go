@@ -11,6 +11,7 @@ package expr
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -193,27 +194,25 @@ func (e *Expr) HasVar(v Var) bool {
 
 // String renders e for logs and debugging.
 func (e *Expr) String() string {
-	var b strings.Builder
-	e.write(&b)
-	return b.String()
+	if e == nil {
+		return "<nil>"
+	}
+	return string(e.Append(nil))
 }
 
-func (e *Expr) write(b *strings.Builder) {
+// Append appends the String rendering of e to b.
+func (e *Expr) Append(b []byte) []byte {
 	switch e.Op {
 	case OpConst:
-		fmt.Fprintf(b, "%d", e.K)
+		return strconv.AppendInt(b, e.K, 10)
 	case OpVar:
-		fmt.Fprintf(b, "x%d", e.V)
+		return strconv.AppendInt(append(b, 'x'), int64(e.V), 10)
 	case OpNeg:
-		b.WriteString("-(")
-		e.L.write(b)
-		b.WriteString(")")
+		return append(e.L.Append(append(b, "-("...)), ')')
 	default:
-		b.WriteString("(")
-		e.L.write(b)
-		fmt.Fprintf(b, " %s ", e.Op)
-		e.R.write(b)
-		b.WriteString(")")
+		b = append(e.L.Append(append(b, '(')), ' ')
+		b = append(append(b, e.Op.String()...), ' ')
+		return append(e.R.Append(b), ')')
 	}
 }
 

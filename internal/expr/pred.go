@@ -101,5 +101,14 @@ func (p Pred) Vars(set map[Var]struct{}) { p.E.Vars(set) }
 
 // String renders p for logs.
 func (p Pred) String() string {
-	return fmt.Sprintf("%s %s 0", p.E, p.Rel)
+	if p.E == nil {
+		return fmt.Sprintf("<nil> %s 0", p.Rel)
+	}
+	return string(p.Append(nil))
+}
+
+// Append appends the String rendering of p to b.
+func (p Pred) Append(b []byte) []byte {
+	b = append(p.E.Append(b), ' ')
+	return append(append(b, p.Rel.String()...), " 0"...)
 }

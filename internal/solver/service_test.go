@@ -17,6 +17,13 @@ func cmp(l, r *expr.Expr, rel expr.Rel) expr.Pred { return expr.Compare(l, r, re
 // TestServiceMatchesFreeFunctions: hit or miss, the service must return
 // exactly what the package-level functions return — this is the contract
 // that makes cache sharing invisible to engine trajectories.
+// answer strips a service Result's provenance (Cached), leaving what a live
+// solve returns.
+func answer(r Result) Result {
+	r.Cached = false
+	return r
+}
+
 func TestServiceMatchesFreeFunctions(t *testing.T) {
 	r := rand.New(rand.NewSource(3))
 	svc := NewService(ServiceConfig{})
@@ -42,15 +49,21 @@ func TestServiceMatchesFreeFunctions(t *testing.T) {
 
 		wantRes, wantOK := SolveIncremental(preds, prev, opt)
 		gotRes, gotOK := svc.SolveIncremental(preds, prev, opt)
-		if wantOK != gotOK || !reflect.DeepEqual(wantRes, gotRes) {
+		if wantOK != gotOK || !reflect.DeepEqual(wantRes, answer(gotRes)) {
 			t.Fatalf("trial %d: service diverged from free function\nfree: %v %v\nsvc:  %v %v",
 				trial, wantRes, wantOK, gotRes, gotOK)
 		}
-		// Second call exercises the cache path; must still be identical.
+		// Second call exercises the cache path; must still be identical,
+		// apart from the provenance flag: a proven refutation now comes from
+		// the UNSAT cache.
 		gotRes2, gotOK2 := svc.SolveIncremental(preds, prev, opt)
-		if wantOK != gotOK2 || !reflect.DeepEqual(wantRes, gotRes2) {
+		if wantOK != gotOK2 || !reflect.DeepEqual(wantRes, answer(gotRes2)) {
 			t.Fatalf("trial %d: cached result diverged\nfree: %v %v\nsvc:  %v %v",
 				trial, wantRes, wantOK, gotRes2, gotOK2)
+		}
+		if gotRes2.Cached != (!gotOK2 && gotRes2.Proven) {
+			t.Fatalf("trial %d: repeated call Cached=%v for ok=%v proven=%v",
+				trial, gotRes2.Cached, gotOK2, gotRes2.Proven)
 		}
 	}
 	st := svc.Stats()
@@ -214,7 +227,7 @@ func TestServiceConcurrent(t *testing.T) {
 				j := jobs[r.Intn(len(jobs))]
 				want, wantOK := SolveIncremental(j.preds, nil, j.opt)
 				got, gotOK := svc.SolveIncremental(j.preds, nil, j.opt)
-				if wantOK != gotOK || !reflect.DeepEqual(want, got) {
+				if wantOK != gotOK || !reflect.DeepEqual(want, answer(got)) {
 					select {
 					case errs <- fmt.Errorf("goroutine %d: diverged on %v", g, j.preds):
 					default:

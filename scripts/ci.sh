@@ -212,32 +212,25 @@ if ! diff <(grep -E 'branches covered|^  \[' "$FLEET_DIR/fleet.out") \
 fi
 rm -rf "$FLEET_DIR"
 
+echo "== campaign benchmark golden checks (go -C bench test) =="
+# The benchmark module's smoke run checks every workload's output against
+# bench/golden.json, so a trajectory change fails here, not at benchmark time.
+go -C bench test .
+
+# compi-bench appends each benchmark line to a committed trajectory file and
+# prints every metric's delta against the previous CI run.
+go build -o "$BIN_DIR/compi-bench" ./cmd/compi-bench
+
 echo "== benchmarks (sched speedup, solver cache, warm resume, fleet merge delta) =="
-BENCH_OUT="$(mktemp)"
 go test -run '^$' \
   -bench 'BenchmarkSchedSpeedup|BenchmarkSolverCache|BenchmarkWarmResume|BenchmarkFleetMergeDelta' \
-  -benchtime 5x . | tee "$BENCH_OUT"
-# Persist the trajectory: one JSON object per benchmark line, value keyed by
-# its unit (ns/op, bytes/frame, hit/call, ...).
-{
-  echo '['
-  awk '/^Benchmark/ {
-    printf "%s  {\"name\":\"%s\",\"n\":%s", sep, $1, $2
-    for (i = 3; i < NF; i += 2) printf ",\"%s\":%s", $(i+1), $i
-    printf "}"
-    sep = ",\n"
-  } END { print "" }' "$BENCH_OUT"
-  echo ']'
-} > BENCH_fleet.json
-rm -f "$BENCH_OUT"
+  -benchtime 5x . | "$BIN_DIR/compi-bench" -out BENCH_fleet.json
 echo "wrote BENCH_fleet.json"
 
 echo "== engine throughput trajectory (BENCH_engine.json) =="
 # Iterations per second per core on the paper's two headline targets, with
 # profiling off and on (the pair doubles as the disabled-profiler overhead
-# pin). compi-bench appends to the committed trajectory file and prints each
-# metric's delta against the previous CI run.
-go build -o "$BIN_DIR/compi-bench" ./cmd/compi-bench
+# pin), plus the 150-iteration SUSY-HMC campaign that runs past the DFS phase.
 go test -run '^$' -bench 'BenchmarkEngine' -benchtime 5x . \
   | "$BIN_DIR/compi-bench" -out BENCH_engine.json
 echo "wrote BENCH_engine.json"
