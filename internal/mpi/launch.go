@@ -194,9 +194,14 @@ func Launch(spec Spec) RunResult {
 		close(finished)
 	}()
 
+	// The watchdog is stopped as soon as the ranks finish: a pending timer
+	// stays in memory until it fires, and campaigns launch far more often
+	// than the timeout elapses.
+	watchdog := time.NewTimer(spec.Timeout)
+	defer watchdog.Stop()
 	select {
 	case <-finished:
-	case <-time.After(spec.Timeout):
+	case <-watchdog.C:
 		cancelCause.set(causeTimeout)
 		rt.cancel()
 		// Grace period for blocked ranks to unwind through ErrStopped.
