@@ -10,6 +10,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"os"
+	"path/filepath"
 	"reflect"
 	"runtime"
 	"testing"
@@ -429,6 +431,58 @@ func BenchmarkMinimize(b *testing.B) {
 		if _, err := st.Minimize(); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkCheckpoint measures one store checkpoint of a campaign at a
+// 200-iteration HPL history, fsync included. "engine" takes the engine's
+// Snapshot and saves it, as a store-backed sched batch does after every
+// iteration; the engine has already encoded the history entries. "loaded"
+// saves the same snapshot read back from disk, as the fleet coordinator
+// saves the snapshots its workers send: it carries no encoded history, so
+// every save encodes it fresh. Both report the snapshot file's size.
+func BenchmarkCheckpoint(b *testing.B) {
+	prog, ok := target.Lookup("hpl")
+	if !ok {
+		b.Fatal("hpl not registered")
+	}
+	eng := core.NewEngine(core.Config{
+		Program: prog, Iterations: 200, Reduction: true, Framework: true,
+		Seed: 7, RunTimeout: 30 * time.Second,
+	})
+	eng.Run()
+	st, err := store.Open(b.TempDir())
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer st.Close()
+	if err := st.SaveCampaign("hpl", eng.Snapshot()); err != nil {
+		b.Fatal(err)
+	}
+	loaded, err := st.LoadCampaign("hpl")
+	if err != nil {
+		b.Fatal(err)
+	}
+	fi, err := os.Stat(filepath.Join(st.Dir(), "campaigns", "hpl.json"))
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, bc := range []struct {
+		name string
+		snap func() *core.Snapshot
+	}{
+		{"engine", eng.Snapshot},
+		{"loaded", func() *core.Snapshot { return loaded }},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := st.SaveCampaign("hpl", bc.snap()); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(fi.Size()), "file-bytes")
+		})
 	}
 }
 

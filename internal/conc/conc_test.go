@@ -135,6 +135,33 @@ func TestMissingInputsDeterministicAcrossRanks(t *testing.T) {
 	}
 }
 
+// TestRandomInputsSeedLazily pins the lazily seeded input source: missing
+// inputs draw exactly what an eagerly seeded source would, and a Proc whose
+// inputs are all supplied never seeds one.
+func TestRandomInputsSeedLazily(t *testing.T) {
+	t.Run("missing inputs draw the eager values", func(t *testing.T) {
+		p := NewProc(0, NewVarSpace(), map[string]int64{"n": 4}, Config{Mode: Heavy, Seed: 11})
+		eager := rand.New(rand.NewSource(11))
+		if got := p.InputInt("n").C; got != 4 {
+			t.Fatalf("supplied input read %d", got)
+		}
+		if got, want := p.InputInt("p").C, -10+eager.Int63n(111); got != want {
+			t.Fatalf("missing input drew %d, an eagerly seeded source %d", got, want)
+		}
+		if got, want := p.InputIntCap("q", 50).C, -10+eager.Int63n(61); got != want {
+			t.Fatalf("missing capped input drew %d, an eagerly seeded source %d", got, want)
+		}
+	})
+	t.Run("supplied inputs never seed", func(t *testing.T) {
+		p := NewProc(0, NewVarSpace(), map[string]int64{"n": 4, "m": 2}, Config{Mode: Heavy, Seed: 11})
+		p.InputInt("n")
+		p.InputIntCap("m", 8)
+		if p.rng != nil {
+			t.Fatal("Proc seeded its random source although every input was supplied")
+		}
+	})
+}
+
 func TestVarSpaceStability(t *testing.T) {
 	vs := NewVarSpace()
 	v1 := vs.Of("x")

@@ -198,7 +198,7 @@ type Proc struct {
 	rank int
 	vars *VarSpace // nil unless Heavy
 	in   map[string]int64
-	rng  *rand.Rand
+	rng  *rand.Rand // seeded on the first missing input: the engine usually supplies all
 
 	covered     map[BranchBit]struct{}
 	trace       []BranchBit // heavy only: every branch event, in order
@@ -233,7 +233,6 @@ func NewProc(rank int, vars *VarSpace, inputs map[string]int64, cfg Config) *Pro
 		rank:        rank,
 		vars:        vars,
 		in:          inputs,
-		rng:         rand.New(rand.NewSource(cfg.Seed)),
 		covered:     make(map[BranchBit]struct{}, coveredHint(cfg.TraceHint)),
 		obsSeen:     map[expr.Var]struct{}{},
 		lastOutcome: map[CondID]bool{},
@@ -375,6 +374,9 @@ func (p *Proc) randomValue(cap int64, hasCap bool) int64 {
 	}
 	if hi < lo {
 		return hi
+	}
+	if p.rng == nil {
+		p.rng = rand.New(rand.NewSource(p.cfg.Seed))
 	}
 	return lo + p.rng.Int63n(hi-lo+1)
 }

@@ -44,7 +44,6 @@ type Snapshot struct {
 	Focus   int              `json:"focus"`
 	Covered []conc.BranchBit `json:"covered"`
 	Funcs   []string         `json:"funcs"`
-	Errors  []ErrorRecord    `json:"errors,omitempty"`
 
 	// v2 fields.
 
@@ -52,11 +51,6 @@ type Snapshot struct {
 	// resumed engine continues global iteration numbering from here (the
 	// per-iteration solver and launch seeds are iteration-indexed).
 	Iters int `json:"iters,omitempty"`
-
-	// Stats is the full per-iteration history, so a resumed campaign's
-	// Result reports the whole campaign and reattached reports keep their
-	// measurements.
-	Stats []IterationStat `json:"stats,omitempty"`
 
 	Restarts     int   `json:"restarts,omitempty"`
 	RestartAt    []int `json:"restartAt,omitempty"`
@@ -98,6 +92,44 @@ type Snapshot struct {
 	// SchedPoints/SchedOrders are the running Schedule-stats counters.
 	SchedPoints int `json:"schedPoints,omitempty"`
 	SchedOrders int `json:"schedOrders,omitempty"`
+
+	// The campaign history: every error record and (v2) the full
+	// per-iteration history, so a resumed campaign's Result reports the whole
+	// campaign and reattached reports keep their measurements. They grow
+	// with the campaign, so they are the last two fields: MarshalJSON
+	// appends them after everything else, from hist when it is current.
+	Errors []ErrorRecord   `json:"errors,omitempty"`
+	Stats  []IterationStat `json:"stats,omitempty"`
+
+	// hist is the encoded history of the engine that took the snapshot.
+	hist history
+}
+
+// history is the compact JSON of a campaign's first nErrors error records
+// and nStats iteration stats, each list's entries comma-separated without
+// brackets. An engine extends its own as the campaign runs, so each entry is
+// encoded once, and attaches it to every snapshot it takes. The engine only
+// appends, so a snapshot's copy stays valid while the engine runs on.
+type history struct {
+	errors, stats   []byte
+	nErrors, nStats int
+}
+
+// extend appends the JSON of entries[n:] to buf and returns the new buffer
+// and count. It stops at an entry that does not encode: the count then lags
+// the snapshot's list, and MarshalJSON encodes fresh and reports the error.
+func extend[T any](buf []byte, n int, entries []T) ([]byte, int) {
+	for ; n < len(entries); n++ {
+		b, err := json.Marshal(entries[n])
+		if err != nil {
+			break
+		}
+		if n > 0 {
+			buf = append(buf, ',')
+		}
+		buf = append(buf, b...)
+	}
+	return buf, n
 }
 
 // StrategyState is an opaque strategy position tagged with the strategy
@@ -118,9 +150,7 @@ func (e *Engine) Snapshot() *Snapshot {
 		NProcs:       e.cur.nprocs,
 		Focus:        e.cur.focus,
 		Covered:      e.cov.Branches(),
-		Errors:       append([]ErrorRecord(nil), e.errors...),
 		Iters:        e.iters,
-		Stats:        append([]IterationStat(nil), e.stats...),
 		Restarts:     e.restarts,
 		RestartAt:    append([]int(nil), e.restartAt...),
 		SolverCalls:  e.solverCalls,
@@ -129,7 +159,12 @@ func (e *Engine) Snapshot() *Snapshot {
 		Refutations:  e.refutations,
 		VarOrder:     e.vars.Names(),
 		RNG:          e.rng.state,
+		Errors:       append([]ErrorRecord(nil), e.errors...),
+		Stats:        append([]IterationStat(nil), e.stats...),
 	}
+	e.hist.errors, e.hist.nErrors = extend(e.hist.errors, e.hist.nErrors, e.errors)
+	e.hist.stats, e.hist.nStats = extend(e.hist.stats, e.hist.nStats, e.stats)
+	s.hist = e.hist
 	for name, ci := range e.caps {
 		if ci.hasCap {
 			s.Caps[name] = ci.cap
@@ -277,6 +312,7 @@ func (e *Engine) Restore(s *Snapshot) error {
 	e.iters = s.Iters
 	e.startIter = s.Iters
 	e.stats = append([]IterationStat(nil), s.Stats...)
+	e.hist = history{}
 	e.restarts = s.Restarts
 	e.restartAt = append([]int(nil), s.RestartAt...)
 	e.solverCalls = s.SolverCalls
@@ -348,11 +384,49 @@ func (s *Snapshot) Result() Result {
 	}
 }
 
-// Save writes the snapshot as JSON.
+// snapshotFields is Snapshot without its methods, for the reflective
+// encoding MarshalJSON builds on.
+type snapshotFields Snapshot
+
+// MarshalJSON encodes the snapshot as compact JSON, keys in struct order.
+// When the snapshot carries its engine's encoded history and the entry
+// counts match Errors and Stats, it encodes the other fields and splices the
+// cached entries after them, so a checkpoint costs the entries added since
+// the previous one. Otherwise it encodes everything fresh; the bytes are the
+// same either way.
+func (s *Snapshot) MarshalJSON() ([]byte, error) {
+	h := s.hist
+	if h.nErrors != len(s.Errors) || h.nStats != len(s.Stats) {
+		return json.Marshal((*snapshotFields)(s))
+	}
+	rest := *s
+	rest.Errors, rest.Stats = nil, nil
+	b, err := json.Marshal((*snapshotFields)(&rest))
+	if err != nil {
+		return nil, err
+	}
+	// The closing brace goes; "version" is never omitted, so the object is
+	// not empty and each list follows a comma. The capacity leaves room for
+	// Save's newline.
+	out := make([]byte, 0, len(b)+len(h.errors)+len(h.stats)+len(`,"errors":[],"stats":[]}`)+1)
+	out = append(out, b[:len(b)-1]...)
+	if len(s.Errors) > 0 {
+		out = append(append(append(out, `,"errors":[`...), h.errors...), ']')
+	}
+	if len(s.Stats) > 0 {
+		out = append(append(append(out, `,"stats":[`...), h.stats...), ']')
+	}
+	return append(out, '}'), nil
+}
+
+// Save writes the snapshot as one line of JSON: MarshalJSON and a newline.
 func (s *Snapshot) Save(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(s)
+	b, err := s.MarshalJSON()
+	if err != nil {
+		return err
+	}
+	_, err = w.Write(append(b, '\n'))
+	return err
 }
 
 // LoadSnapshot reads a snapshot written by Save. A snapshot written while

@@ -132,11 +132,20 @@ func (s *Store) campaignPath(name string) string {
 	return filepath.Join(s.dir, "campaigns", name+".json")
 }
 
-// SaveCampaign atomically writes one campaign snapshot under name.
+// SaveCampaign atomically writes one campaign snapshot under name. It
+// encodes the snapshot (core.Snapshot.Save's bytes) before taking the store
+// lock, so concurrent campaigns serialize only on the file write.
 func (s *Store) SaveCampaign(name string, snap *core.Snapshot) error {
+	b, err := snap.MarshalJSON()
+	if err != nil {
+		return err
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return WriteAtomic(s.campaignPath(name), snap.Save)
+	return WriteAtomic(s.campaignPath(name), func(w io.Writer) error {
+		_, err := w.Write(append(b, '\n'))
+		return err
+	})
 }
 
 // LoadCampaign reads a campaign snapshot saved under name.

@@ -59,6 +59,11 @@ echo "== go test -race ./internal/binstat ./internal/expr =="
 # lock-striped hot paths; the race detector is the test that matters.
 go test -race ./internal/binstat ./internal/expr
 
+echo "== go test -race ./internal/core (snapshot encoding) =="
+# An engine keeps extending the encoded history its earlier snapshots still
+# read while a store or fleet checkpoint encodes them.
+go test -race ./internal/core -run 'TestSnapshotEncoding'
+
 echo "== go test -race ./internal/fleet =="
 go test -race ./internal/fleet
 
@@ -236,9 +241,10 @@ go test -run '^$' -bench 'BenchmarkEngine' -benchtime 5x . \
 echo "wrote BENCH_engine.json"
 
 echo "== store service trajectory (BENCH_store.json) =="
-# Index query latency (the compi report read path) and corpus-minimization
-# throughput, tracked run-over-run like the engine numbers.
-go test -run '^$' -bench 'BenchmarkStoreQuery|BenchmarkMinimize' -benchtime 5x . \
+# Index query latency (the compi report read path), corpus-minimization
+# throughput and the cost of one campaign checkpoint, tracked run-over-run
+# like the engine numbers.
+go test -run '^$' -bench 'BenchmarkStoreQuery|BenchmarkMinimize|BenchmarkCheckpoint' -benchtime 5x . \
   | "$BIN_DIR/compi-bench" -out BENCH_store.json
 echo "wrote BENCH_store.json"
 
