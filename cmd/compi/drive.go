@@ -160,11 +160,10 @@ func (m *driveMode) Run(args []string) int {
 		if *m.verbose {
 			opt.Trace = labelTrace()
 		}
-		sched.Run(sched.Shard(base, shard), opt).WriteSummary(os.Stdout)
-		return 0
+		return summarize(sched.Run(sched.Shard(base, shard), opt))
 	}
 
-	cfg, err := sched.Spec{Campaign: c}.Config()
+	cfg, err := c.EngineConfig()
 	if err != nil {
 		return usagef("%v", err)
 	}

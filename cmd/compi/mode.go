@@ -84,6 +84,16 @@ func openStateDir(dir string) *store.Store {
 	return st
 }
 
+// summarize prints a batch report's summary and returns the batch modes'
+// exit code: 1 when a store write failed (the summary names it), else 0.
+func summarize(rep *sched.Report) int {
+	rep.WriteSummary(os.Stdout)
+	if rep.StoreErr != nil {
+		return 1
+	}
+	return 0
+}
+
 // iterTrace is the -v per-iteration line of the single-engine modes.
 func iterTrace() func(core.IterationStat) {
 	return func(it core.IterationStat) {

@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/binstat"
 	"repro/internal/core"
-	"repro/internal/sched"
 	"repro/internal/spec"
 	"repro/internal/store"
 	"repro/internal/target"
@@ -80,7 +79,7 @@ func (m *runMode) Run(args []string) int {
 		return replayCampaign(prog, spec.FromErrorRecord(c.Target, rec), c.RunTimeout)
 	}
 
-	cfg, err := sched.Spec{Campaign: c}.Config()
+	cfg, err := c.EngineConfig()
 	if err != nil {
 		return usagef("%v", err)
 	}

@@ -2,7 +2,6 @@ package main
 
 import (
 	"flag"
-	"os"
 
 	"repro/internal/binstat"
 	"repro/internal/sched"
@@ -58,6 +57,5 @@ func (m *schedMode) Run(args []string) int {
 	if *m.verbose {
 		opt.Trace = labelTrace()
 	}
-	sched.Run(toSpecs(cs), opt).WriteSummary(os.Stdout)
-	return 0
+	return summarize(sched.Run(toSpecs(cs), opt))
 }

@@ -97,6 +97,5 @@ func (m *serveMode) Run(args []string) int {
 		go c.ServeStatus(sln)
 	}
 	go c.Serve(ln)
-	c.Wait().WriteSummary(os.Stdout)
-	return 0
+	return summarize(c.Wait())
 }

@@ -58,8 +58,10 @@ type Scale struct {
 // experiment run shares the same setup-index lock.
 var storeCache = map[string]*store.Store{}
 
-// schedOptions is the sched.Options the fan-out drivers run under.
-func (s Scale) schedOptions() sched.Options {
+// runBatch runs the fan-out drivers' campaigns through sched.Run under the
+// scale's workers and store. A store that fails to open or to take a write
+// panics: an experiment resumed from it could not be trusted.
+func (s Scale) runBatch(specs []sched.Spec) *sched.Report {
 	opt := sched.Options{Workers: s.Workers}
 	if s.StateDir != "" {
 		st, ok := storeCache[s.StateDir]
@@ -72,7 +74,11 @@ func (s Scale) schedOptions() sched.Options {
 		}
 		opt.Store = st
 	}
-	return opt
+	rep := sched.Run(specs, opt)
+	if rep.StoreErr != nil {
+		panic("experiments: " + rep.StoreErr.Error())
+	}
+	return rep
 }
 
 // Full approximates the paper's budgets at laptop scale.

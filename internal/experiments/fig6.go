@@ -33,7 +33,7 @@ func Fig6(s Scale) *Table {
 			8, 0, false, params, s.RunTimeout))
 		sizes = append(sizes, n)
 	}
-	rep := sched.Run(specs, s.schedOptions())
+	rep := s.runBatch(specs)
 
 	var base float64
 	for i, n := range sizes {

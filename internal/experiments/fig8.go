@@ -57,7 +57,7 @@ func Fig8(s Scale) *Table {
 			}
 		}
 	}
-	rep := sched.Run(specs, s.schedOptions())
+	rep := s.runBatch(specs)
 
 	next := 0
 	for _, st := range studies {

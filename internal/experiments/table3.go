@@ -29,7 +29,7 @@ func TableIII(s Scale) *Table {
 			c.Iterations = s.Iters / 2
 		})
 	}
-	rep := sched.Run(specs, s.schedOptions())
+	rep := s.runBatch(specs)
 	for i, tn := range tns {
 		prog := program(tn.name)
 		res := rep.Campaigns[i].Result

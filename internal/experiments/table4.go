@@ -95,7 +95,7 @@ func TableIV(s Scale) *Table {
 			}
 		}
 	}
-	rep := sched.Run(specs, s.schedOptions())
+	rep := s.runBatch(specs)
 
 	next := 0
 	for _, c := range configs {

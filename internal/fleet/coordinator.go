@@ -19,17 +19,18 @@ import (
 
 // Options configures a coordinator.
 type Options struct {
-	// Store, when non-nil, makes the fleet durable exactly like a
-	// store-backed sched.Run: progress snapshots are checkpointed into it,
-	// already-explored setups are reused or resumed from it, and a batch
-	// manifest tracks the fleet's shards. The coordinator owns the store
+	// Store, when non-nil, makes the fleet durable through the same
+	// sched.Batch a store-backed sched.Run drives: progress snapshots are
+	// checkpointed into it, already-explored setups are reused or resumed
+	// from it, a batch manifest tracks the fleet's shards, and failed writes
+	// are reported in the report's StoreErr. The coordinator owns the store
 	// (workers never touch it), so the store's single-process lock composes
 	// with any number of workers.
 	Store *store.Store
 
 	// BatchID names the store batch; empty derives a stable ID from the
-	// specs (sched.DeriveBatchID), so restarting a coordinator resumes its
-	// own batch.
+	// specs (sched.NewBatch), so restarting a coordinator resumes its own
+	// batch.
 	BatchID string
 
 	// TTL is the lease time-to-live. A lease not renewed and not advanced
@@ -66,7 +67,8 @@ const (
 	shardFailed  = "failed"
 )
 
-// shardState is the coordinator's view of one spec's campaign.
+// shardState is the lease state of one spec's campaign; the campaign itself
+// and its store writes live in the sched.Batch.
 type shardState struct {
 	state      string
 	gen        int    // lease generation; bumped on every grant
@@ -78,26 +80,21 @@ type shardState struct {
 	errCount   int            // streamed error records (status only)
 	reclaims   int            // times this shard's lease was reclaimed
 	resume     *core.Snapshot // last progress snapshot: the reclaim-resume point
-	camp       sched.Campaign // filled when done or failed
-	campName   string         // store campaign file name (persisted shards)
 }
 
-// Coordinator owns one fleet batch: the specs, their shard lease state, the
-// optional campaign store, and the listeners. Create with NewCoordinator,
-// drive with Serve (and optionally ServeStatus), collect with Wait.
+// Coordinator owns one fleet batch: a sched.Batch over the specs, their
+// shard lease state, and the listeners. Create with NewCoordinator, drive
+// with Serve (and optionally ServeStatus), collect with Wait.
 type Coordinator struct {
 	opt   Options
-	specs []sched.Spec
-	wire  []spec.Campaign // portable form of each spec, shipped in leases
-	keys  []string        // sched.SetupKey per spec; "" = not persistable
-
-	prof *binstat.Profiler // fleet-wide rollup of worker-shipped reports
+	wire  []spec.Campaign   // portable form of each spec, shipped in leases
+	prof  *binstat.Profiler // fleet-wide rollup of worker-shipped reports
+	batch *sched.Batch
 
 	mu         sync.Mutex
 	shards     []shardState
 	sessions   map[int]*session
 	nextSess   int
-	man        *store.BatchManifest
 	cov        map[string]*coverage.Tracker // live status trackers
 	start      time.Time
 	resolved   int
@@ -131,52 +128,32 @@ func NewCoordinator(specs []sched.Spec, opt Options) *Coordinator {
 	}
 	c := &Coordinator{
 		opt:      opt,
-		prof:     binstat.New(),
-		specs:    specs,
 		wire:     make([]spec.Campaign, len(specs)),
-		keys:     make([]string, len(specs)),
+		prof:     binstat.New(),
+		batch:    sched.NewBatch(specs, opt.Store, opt.BatchID),
 		shards:   make([]shardState, len(specs)),
 		sessions: map[int]*session{},
 		cov:      map[string]*coverage.Tracker{},
 		start:    time.Now(),
 		done:     make(chan struct{}),
 	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	for i, sp := range specs {
 		c.shards[i].state = shardPending
-		c.shards[i].camp.Spec = sp
-		c.shards[i].camp.Label = sp.DisplayLabel()
-		c.shards[i].camp.Target = sp.TargetName()
 		w, err := sp.Portable()
 		if err != nil {
 			c.failShardLocked(i, fmt.Errorf("fleet: %w", err))
 			continue
 		}
 		c.wire[i] = w
-		c.keys[i], _ = sched.SetupKey(sp)
 	}
-	if opt.Store != nil {
-		c.openBatch()
-	}
-	c.mu.Lock()
 	c.checkDoneLocked()
-	c.mu.Unlock()
 	return c
 }
 
-// openBatch creates (or reloads) the store batch manifest through
-// sched.PrepareBatch — the same path sched.Run takes — so a fleet store and
-// a sched store are interchangeable.
-func (c *Coordinator) openBatch() {
-	c.man, c.keys = sched.PrepareBatch(c.opt.Store, c.opt.BatchID, c.specs)
-}
-
 // BatchID returns the store batch ID ("" without a store).
-func (c *Coordinator) BatchID() string {
-	if c.man == nil {
-		return ""
-	}
-	return c.man.ID
-}
+func (c *Coordinator) BatchID() string { return c.batch.ID() }
 
 func (c *Coordinator) logf(format string, args ...any) {
 	if c.opt.Logf != nil {
@@ -184,85 +161,30 @@ func (c *Coordinator) logf(format string, args ...any) {
 	}
 }
 
-// updateEntry mutates shard i's manifest entry and persists the manifest.
-// Callers hold c.mu.
-func (c *Coordinator) updateEntryLocked(i int, fn func(*store.BatchEntry)) {
-	if c.man == nil {
-		return
-	}
-	fn(&c.man.Entries[i])
-	c.opt.Store.SaveBatch(c.man)
-}
+// label is shard i's campaign label.
+func (c *Coordinator) label(i int) string { return c.batch.Campaign(i).Label }
 
 // failShardLocked resolves shard i with a deterministic error.
 func (c *Coordinator) failShardLocked(i int, err error) {
 	sh := &c.shards[i]
-	if sh.state == shardDone || sh.state == shardFailed {
-		return
-	}
 	sh.state = shardFailed
 	sh.leaseID = ""
-	sh.camp.Err = err
-	c.updateEntryLocked(i, func(e *store.BatchEntry) {
-		e.Status = store.StatusError
-		e.Error = err.Error()
-	})
-	c.logf("fleet: shard %d (%s) failed: %v", i, sh.camp.Label, err)
+	c.batch.Fail(i, err)
+	c.logf("fleet: shard %d (%s) failed: %v", i, c.label(i), err)
 	c.resolved++
 	c.checkDoneLocked()
 }
 
-// completeShardLocked resolves shard i from its final snapshot.
-func (c *Coordinator) completeShardLocked(i int, snap *core.Snapshot) {
+// resolveShardLocked marks shard i done with snap, its final snapshot or the
+// stored one it was reused from.
+func (c *Coordinator) resolveShardLocked(i int, snap *core.Snapshot) {
 	sh := &c.shards[i]
-	if sh.state == shardDone || sh.state == shardFailed {
-		return
-	}
 	sh.state = shardDone
 	sh.leaseID = ""
 	sh.resume = nil
 	sh.iters = snap.Iters
-	sh.camp.Result = snap.Result()
 	sh.errCount = len(snap.Errors)
-	c.mergeSnapshotCovLocked(sh.camp.Target, snap)
-	if c.opt.Store != nil && c.keys[i] != "" {
-		name := sh.campName
-		if name == "" {
-			name = store.CampaignName(c.specs[i].DisplayLabel(), c.keys[i])
-		}
-		c.opt.Store.SaveCampaign(name, snap)
-		rec := store.SetupRecord{Campaign: name, Iters: snap.Iters, Batch: c.man.ID}
-		c.opt.Store.MarkExplored(c.keys[i], rec)
-		c.opt.Store.IndexCampaign(c.keys[i], rec, snap)
-		c.updateEntryLocked(i, func(e *store.BatchEntry) {
-			e.Status = store.StatusDone
-			e.Campaign = name
-			e.Iters = snap.Iters
-		})
-	}
-	c.logf("fleet: shard %d (%s) complete at %d iterations", i, sh.camp.Label, snap.Iters)
-	c.resolved++
-	c.checkDoneLocked()
-}
-
-// reuseShardLocked resolves shard i from the store without leasing it.
-func (c *Coordinator) reuseShardLocked(i int, rec store.SetupRecord, snap *core.Snapshot) {
-	sh := &c.shards[i]
-	sh.state = shardDone
-	sh.iters = snap.Iters
-	sh.camp.Result = snap.Result()
-	sh.camp.Reused = true
-	sh.errCount = len(snap.Errors)
-	c.mergeSnapshotCovLocked(sh.camp.Target, snap)
-	// Same idempotent index upsert as sched.runOne's reuse path: pre-index
-	// stores heal as they are read.
-	c.opt.Store.IndexCampaign(c.keys[i], rec, snap)
-	c.updateEntryLocked(i, func(e *store.BatchEntry) {
-		e.Status = store.StatusReused
-		e.Campaign = rec.Campaign
-		e.Iters = snap.Iters
-	})
-	c.logf("fleet: shard %d (%s) reused from store (%d iterations)", i, sh.camp.Label, snap.Iters)
+	c.mergeSnapshotCovLocked(c.batch.Campaign(i).Target, snap)
 	c.resolved++
 	c.checkDoneLocked()
 }
@@ -355,13 +277,13 @@ func (c *Coordinator) reclaimShardLocked(i int, why string) {
 		return
 	}
 	c.logf("fleet: reclaiming shard %d (%s) from worker %d (%s): %s",
-		i, sh.camp.Label, sh.worker, sh.workerName, why)
+		i, c.label(i), sh.worker, sh.workerName, why)
 	sh.state = shardPending
 	sh.leaseID = ""
 	sh.worker = 0
 	sh.workerName = ""
 	sh.reclaims++
-	c.updateEntryLocked(i, func(e *store.BatchEntry) { e.Status = store.StatusPending })
+	c.batch.Requeue(i)
 }
 
 // handle runs one worker session: handshake, then the frame loop. Any
@@ -383,10 +305,6 @@ func (c *Coordinator) handle(conn net.Conn) {
 		s.name = fmt.Sprintf("worker-%d", s.id)
 	}
 	c.sessions[s.id] = s
-	batch := ""
-	if c.man != nil {
-		batch = c.man.ID
-	}
 	c.mu.Unlock()
 	c.logf("fleet: worker %d (%s) connected from %s", s.id, s.name, conn.RemoteAddr())
 
@@ -405,7 +323,7 @@ func (c *Coordinator) handle(conn net.Conn) {
 	err = WriteFrame(conn, Frame{Type: FrameWelcome, Welcome: &Welcome{
 		Proto:         Version,
 		Worker:        s.id,
-		Batch:         batch,
+		Batch:         c.batch.ID(),
 		TTLMS:         c.opt.TTL.Milliseconds(),
 		RetryMS:       c.opt.Retry.Milliseconds(),
 		SnapshotEvery: c.opt.SnapshotEvery,
@@ -451,19 +369,17 @@ func (c *Coordinator) grant(s *session) Frame {
 		if sh.state != shardPending {
 			continue
 		}
-		// Store consult, exactly sched.runOne's: a stored exploration that
-		// covers the request resolves the shard as reused without leasing;
-		// a shorter one becomes the lease's resume snapshot.
-		if sh.resume == nil && c.opt.Store != nil && c.keys[i] != "" {
-			if rec, ok := c.opt.Store.Explored(c.keys[i]); ok {
-				if snap, err := c.opt.Store.LoadCampaign(rec.Campaign); err == nil {
-					if c.specs[i].TimeBudget == 0 && snap.Iters >= sched.WantedIters(c.specs[i].Iterations) {
-						c.reuseShardLocked(i, rec, snap)
-						continue
-					}
-					sh.resume = snap
-				}
-			}
+		// A stored exploration that covers the request resolves the shard
+		// without leasing it; a shorter one is the lease's resume snapshot,
+		// unless a reclaimed lease of this batch got further.
+		snap, reused := c.batch.Start(i)
+		if reused {
+			c.logf("fleet: shard %d (%s) reused from store (%d iterations)", i, c.label(i), snap.Iters)
+			c.resolveShardLocked(i, snap)
+			continue
+		}
+		if sh.resume == nil {
+			sh.resume = snap
 		}
 		sh.gen++
 		sh.state = shardLeased
@@ -471,13 +387,6 @@ func (c *Coordinator) grant(s *session) Frame {
 		sh.worker = s.id
 		sh.workerName = s.name
 		sh.deadline = time.Now().Add(c.opt.TTL)
-		if c.opt.Store != nil && c.keys[i] != "" {
-			sh.campName = store.CampaignName(c.specs[i].DisplayLabel(), c.keys[i])
-			c.updateEntryLocked(i, func(e *store.BatchEntry) {
-				e.Status = store.StatusRunning
-				e.Campaign = sh.campName
-			})
-		}
 		lease := &Lease{
 			Status:  LeaseGranted,
 			ID:      sh.leaseID,
@@ -491,10 +400,10 @@ func (c *Coordinator) grant(s *session) Frame {
 			// The live status tracker sees resumed coverage up front; the
 			// worker's journal will then only re-ship what its own
 			// iterations add.
-			c.mergeSnapshotCovLocked(sh.camp.Target, sh.resume)
+			c.mergeSnapshotCovLocked(c.batch.Campaign(i).Target, sh.resume)
 		}
 		c.logf("fleet: leased shard %d (%s) to worker %d (%s) as %s",
-			i, sh.camp.Label, s.id, s.name, sh.leaseID)
+			i, c.label(i), s.id, s.name, sh.leaseID)
 		return Frame{Type: FrameLease, Lease: lease}
 	}
 	if c.resolved == len(c.shards) {
@@ -539,7 +448,7 @@ func (c *Coordinator) applyMerge(m *Merge) {
 	sh.deadline = time.Now().Add(c.opt.TTL)
 	sh.iters = m.Iters
 	sh.errCount += len(m.Errors)
-	c.statusTrackerLocked(sh.camp.Target).ApplyDelta(m.Delta)
+	c.statusTrackerLocked(c.batch.Campaign(i).Target).ApplyDelta(m.Delta)
 }
 
 // applyProgress checkpoints a shard: the snapshot becomes the store
@@ -558,9 +467,7 @@ func (c *Coordinator) applyProgress(p *Progress) {
 	sh.deadline = time.Now().Add(c.opt.TTL)
 	sh.iters = p.Iters
 	sh.resume = p.Snapshot
-	if c.opt.Store != nil && sh.campName != "" {
-		c.opt.Store.SaveCampaign(sh.campName, p.Snapshot)
-	}
+	c.batch.Checkpoint(i, p.Snapshot)
 }
 
 func (c *Coordinator) applyComplete(cp *Complete) {
@@ -570,7 +477,9 @@ func (c *Coordinator) applyComplete(cp *Complete) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if i := c.findLocked(cp.Lease); i >= 0 {
-		c.completeShardLocked(i, cp.Snapshot)
+		c.batch.Finish(i, cp.Snapshot.Result(), cp.Snapshot)
+		c.logf("fleet: shard %d (%s) complete at %d iterations", i, c.label(i), cp.Snapshot.Iters)
+		c.resolveShardLocked(i, cp.Snapshot)
 		// Fold after resolving the shard: stale leases (reclaimed shards
 		// whose first holder reports late) are discarded above, so a
 		// re-leased shard's bins land exactly once.
@@ -586,24 +495,16 @@ func (c *Coordinator) applyError(e *ErrorReport) {
 	}
 }
 
-// Wait blocks until every shard is resolved and returns the merged report,
-// built from the per-shard final snapshots in spec order via
-// sched.BuildReport — the identical merge sched.Run performs, which is what
-// pins fleet == single-process equality.
+// Wait blocks until every shard is resolved and returns the batch report,
+// merged from the per-shard final snapshots in spec order by
+// sched.Batch.Report — the merge sched.Run performs, which is what pins
+// fleet == single-process equality.
 func (c *Coordinator) Wait() *sched.Report {
 	<-c.done
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	campaigns := make([]sched.Campaign, len(c.shards))
-	maxWorkers := c.nextSess
-	for i := range c.shards {
-		campaigns[i] = c.shards[i].camp
-	}
-	rep := sched.BuildReport(campaigns, maxWorkers)
+	rep := c.batch.Report(c.nextSess)
 	rep.Elapsed = time.Since(c.start)
-	if c.man != nil {
-		rep.BatchID = c.man.ID
-	}
 	rep.Profile = c.prof.Report()
 	return rep
 }
@@ -647,9 +548,9 @@ func (c *Coordinator) StatusText() string {
 	defer c.mu.Unlock()
 	var b []byte
 	app := func(format string, args ...any) { b = fmt.Appendf(b, format, args...) }
-	batch := "(none)"
-	if c.man != nil {
-		batch = c.man.ID
+	batch := c.batch.ID()
+	if batch == "" {
+		batch = "(none)"
 	}
 	app("fleet batch %s: %d/%d shards resolved, up %s\n",
 		batch, c.resolved, len(c.shards), time.Since(c.start).Round(time.Second))
@@ -658,16 +559,16 @@ func (c *Coordinator) StatusText() string {
 	}
 	app("\nshards:\n")
 	for i := range c.shards {
-		sh := &c.shards[i]
-		line := fmt.Sprintf("  %-3d %-28s %-8s iters=%-5d errors=%-3d", i, sh.camp.Label, sh.state, sh.iters, sh.errCount)
+		sh, camp := &c.shards[i], c.batch.Campaign(i)
+		line := fmt.Sprintf("  %-3d %-28s %-8s iters=%-5d errors=%-3d", i, camp.Label, sh.state, sh.iters, sh.errCount)
 		switch {
 		case sh.state == shardLeased:
 			line += fmt.Sprintf(" lease=%s worker=%d(%s) deadline=%s",
 				sh.leaseID, sh.worker, sh.workerName, time.Until(sh.deadline).Round(time.Millisecond))
-		case sh.state == shardDone && sh.camp.Reused:
+		case sh.state == shardDone && camp.Reused:
 			line += " (store)"
 		case sh.state == shardFailed:
-			line += fmt.Sprintf(" err=%v", sh.camp.Err)
+			line += fmt.Sprintf(" err=%v", camp.Err)
 		}
 		if sh.reclaims > 0 {
 			line += fmt.Sprintf(" reclaims=%d", sh.reclaims)

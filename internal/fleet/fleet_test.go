@@ -5,6 +5,7 @@ import (
 	"net"
 	"os"
 	"os/exec"
+	"path/filepath"
 	"reflect"
 	"regexp"
 	"sort"
@@ -348,6 +349,41 @@ func TestFleetStoreResumeAndReuse(t *testing.T) {
 		if e.Status != store.StatusDone || e.Iters != n {
 			t.Fatalf("manifest entry %+v not done at %d", e, n)
 		}
+	}
+}
+
+// TestFleetStoreWriteFailure: a directory where setups.json belongs fails
+// every setup-index write. The fleet reports the failures in the report's
+// StoreErr and still returns the results a storeless sched.Run computes.
+func TestFleetStoreWriteFailure(t *testing.T) {
+	if testing.Short() {
+		t.Skip("campaign test")
+	}
+	const iters = 10
+	want := fingerprintOf(sched.Run(fleetSpecs(iters), sched.Options{Workers: 2}))
+
+	dir := t.TempDir()
+	st, err := store.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	if err := os.Mkdir(filepath.Join(dir, "setups.json"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	c, addr := startFleet(t, fleetSpecs(iters), fleet.Options{Store: st})
+	workInProcess(t, addr, 2)
+	rep := c.Wait()
+	if rep.StoreErr == nil || !strings.Contains(rep.StoreErr.Error(), "setups.json") {
+		t.Fatalf("StoreErr = %v, want the failed setup-index writes", rep.StoreErr)
+	}
+	for _, camp := range rep.Campaigns {
+		if camp.Err != nil {
+			t.Fatalf("fleet campaign %q: %v", camp.Label, camp.Err)
+		}
+	}
+	if got := fingerprintOf(rep); !reflect.DeepEqual(got, want) {
+		t.Fatal("store write failures changed the fleet's results")
 	}
 }
 

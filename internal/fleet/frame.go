@@ -31,8 +31,8 @@
 // unions, replaying an overlapping stream can never double-count.
 //
 // Determinism: the coordinator's final report is assembled from per-shard
-// FINAL snapshots merged in spec order through sched.BuildReport — exactly
-// how sched.Run builds its report — so a fleet's result is pinned equal to a
+// FINAL snapshots merged in spec order by sched.Batch.Report — exactly how
+// sched.Run builds its report — so a fleet's result is pinned equal to a
 // single-process sched.Run over the same specs, regardless of worker count,
 // scheduling order, or how many times shards were reclaimed mid-flight. The
 // streamed merge deltas feed only the live status endpoint.

@@ -1,6 +1,8 @@
 package sched
 
 import (
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -33,6 +35,7 @@ func storeSpecs(iters int) []Spec {
 // are store filenames, so a changed derivation would strand every existing
 // batch manifest. Captured from the pre-spec implementation.
 func TestDeriveBatchIDGolden(t *testing.T) {
+	st := openStore(t)
 	grid := core.MergeParams(susy.FixAll(), stencil.FixAll())
 	mk := func(seed int64) Spec {
 		return Spec{Campaign: spec.Campaign{
@@ -42,8 +45,8 @@ func TestDeriveBatchIDGolden(t *testing.T) {
 			RunTimeout: 30 * time.Second,
 		}}
 	}
-	if got := DeriveBatchID([]Spec{mk(3), mk(4)}); got != "batch-2ce6a0ac773d" {
-		t.Fatalf("DeriveBatchID = %q, want legacy batch-2ce6a0ac773d", got)
+	if got := NewBatch([]Spec{mk(3), mk(4)}, st, "").ID(); got != "batch-2ce6a0ac773d" {
+		t.Fatalf("derived batch ID = %q, want legacy batch-2ce6a0ac773d", got)
 	}
 }
 
@@ -168,6 +171,95 @@ func TestStoreCrossBatchReuse(t *testing.T) {
 	for _, c := range rep3.Campaigns {
 		if !c.Reused {
 			t.Fatalf("shorter re-run of %q not reused", c.Label)
+		}
+	}
+}
+
+// TestStoreWriteFailuresSurface is the store fault pin. Spec 0's Checkpoint
+// hook replaces campaigns/ with a plain file after its 6th checkpoint, so
+// every later snapshot write fails. The batch must report the failures
+// without changing a result, record no setup, and mark every manifest entry
+// error. The store is then repaired, left with a torn write's temp file and a
+// truncated index: Reindex succeeds, and a rerun equals the uninterrupted run
+// with a full index.
+func TestStoreWriteFailuresSurface(t *testing.T) {
+	if testing.Short() {
+		t.Skip("campaign test")
+	}
+	const n = 30
+	want := fingerprintOf(Run(storeSpecs(n), Options{Workers: 1}))
+
+	st := openStore(t)
+	camps := filepath.Join(st.Dir(), "campaigns")
+	saved := camps + ".saved"
+	specs := storeSpecs(n)
+	ckpts := 0
+	specs[0].Overrides.Checkpoint = func(*core.Snapshot) {
+		if ckpts++; ckpts == 6 {
+			if err := os.Rename(camps, saved); err != nil {
+				t.Error(err)
+			}
+			if err := os.WriteFile(camps, nil, 0o644); err != nil {
+				t.Error(err)
+			}
+		}
+	}
+	rep := Run(specs, Options{Workers: 1, Store: st})
+	if rep.StoreErr == nil {
+		t.Fatal("failed snapshot writes were not reported")
+	}
+	if got := fingerprintOf(rep); !reflect.DeepEqual(got, want) {
+		t.Fatal("store write failures changed campaign results")
+	}
+	if setups, err := st.Setups(); err != nil || len(setups) != 0 {
+		t.Fatalf("setup index after failed writes: %v (err %v), want no record", setups, err)
+	}
+	man, err := st.LoadBatch(rep.BatchID)
+	if err != nil || man == nil {
+		t.Fatalf("manifest: %v %v", man, err)
+	}
+	for _, e := range man.Entries {
+		if e.Status != store.StatusError || e.Error == "" {
+			t.Fatalf("manifest entry %+v not marked error", e)
+		}
+	}
+	var sum strings.Builder
+	rep.WriteSummary(&sum)
+	if !strings.Contains(sum.String(), "store write failed: "+specs[0].label()) {
+		t.Fatalf("summary does not report the failed writes:\n%s", sum.String())
+	}
+
+	if err := os.Remove(camps); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Rename(saved, camps); err != nil {
+		t.Fatal(err)
+	}
+	torn := filepath.Join(camps, "."+store.CampaignName(specs[1].label(), "x")+".json.tmp-1")
+	if err := os.WriteFile(torn, []byte(`{"version":3,"prog`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(st.Dir(), "index.json"), []byte(`{"version":1,"entries":[{"key":"`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.Reindex(); err != nil {
+		t.Fatalf("reindex after repair: %v", err)
+	}
+
+	rep2 := Run(storeSpecs(n), Options{Workers: 1, Store: st})
+	if rep2.StoreErr != nil {
+		t.Fatalf("rerun on the repaired store: %v", rep2.StoreErr)
+	}
+	if got := fingerprintOf(rep2); !reflect.DeepEqual(got, want) {
+		t.Fatal("rerun on the repaired store differs from the uninterrupted run")
+	}
+	entries, err := st.Index()
+	if err != nil || len(entries) != len(specs) {
+		t.Fatalf("index after rerun: %d entries (err %v), want %d", len(entries), err, len(specs))
+	}
+	for _, e := range entries {
+		if e.Iters != n {
+			t.Fatalf("index entry %+v not at %d iterations", e, n)
 		}
 	}
 }

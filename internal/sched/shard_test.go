@@ -77,7 +77,7 @@ func TestShardWrapPerturbsSeed(t *testing.T) {
 // sharded batch produces the same per-campaign coverage and merged group
 // rollup at 1 and 4 workers, with the shared solver service in play; the
 // group rollup equals the union of its members; and running the same batch
-// with private per-campaign solvers changes nothing.
+// with a private solver service per campaign changes nothing.
 func TestShardedRunDeterministicAndMerged(t *testing.T) {
 	if testing.Short() {
 		t.Skip("campaign test")
@@ -92,7 +92,11 @@ func TestShardedRunDeterministicAndMerged(t *testing.T) {
 
 	serial := Run(mkSpecs(), Options{Workers: 1})
 	wide := Run(mkSpecs(), Options{Workers: 4})
-	private := Run(mkSpecs(), Options{Workers: 4, PrivateSolvers: true})
+	privSpecs := mkSpecs()
+	for i := range privSpecs {
+		privSpecs[i].Overrides.Solver = solver.NewService(solver.ServiceConfig{})
+	}
+	private := Run(privSpecs, Options{Workers: 4})
 
 	fpS, fpW, fpP := fingerprintOf(serial), fingerprintOf(wide), fingerprintOf(private)
 	if !reflect.DeepEqual(fpS, fpW) {
@@ -105,7 +109,7 @@ func TestShardedRunDeterministicAndMerged(t *testing.T) {
 		t.Fatal("shared service saw no calls")
 	}
 	if private.Solver.Calls != 0 {
-		t.Fatalf("PrivateSolvers run still reported shared-service stats: %+v", private.Solver)
+		t.Fatalf("private-solver run still reported shared-service stats: %+v", private.Solver)
 	}
 
 	for _, rep := range []*Report{serial, wide} {

@@ -35,12 +35,10 @@ type Overrides struct {
 	Solver core.SolverService
 
 	// Trace, ErrorLog, Profiler, Checkpoint observe the campaign live.
-	Trace    func(it core.IterationStat)
-	ErrorLog io.Writer
-	Profiler *binstat.Profiler
-
-	Checkpoint      func(*core.Snapshot)
-	CheckpointEvery int
+	Trace      func(it core.IterationStat)
+	ErrorLog   io.Writer
+	Profiler   *binstat.Profiler
+	Checkpoint func(*core.Snapshot)
 }
 
 // Live returns the name of the first live object the overrides carry that
@@ -97,9 +95,6 @@ func (o Overrides) Apply(cfg *core.Config) {
 	}
 	if o.Checkpoint != nil {
 		cfg.Checkpoint = o.Checkpoint
-	}
-	if o.CheckpointEvery != 0 {
-		cfg.CheckpointEvery = o.CheckpointEvery
 	}
 }
 

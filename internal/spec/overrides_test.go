@@ -89,17 +89,15 @@ func TestPortableResolvesProgramAndStampsVersion(t *testing.T) {
 	}
 }
 
-// TestOverridesApply checks CheckpointEvery rides along and live objects land
-// on the config.
+// TestOverridesApply checks live objects land on the config.
 func TestOverridesApply(t *testing.T) {
 	var cfg core.Config
 	o := spec.Overrides{
-		Trace:           func(core.IterationStat) {},
-		ErrorLog:        os.Stderr,
-		CheckpointEvery: 7,
+		Trace:    func(core.IterationStat) {},
+		ErrorLog: os.Stderr,
 	}
 	o.Apply(&cfg)
-	if cfg.Trace == nil || cfg.ErrorLog != os.Stderr || cfg.CheckpointEvery != 7 {
+	if cfg.Trace == nil || cfg.ErrorLog != os.Stderr {
 		t.Fatalf("Apply dropped fields: %+v", cfg)
 	}
 }

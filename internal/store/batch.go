@@ -34,7 +34,7 @@ type BatchEntry struct {
 	Error    string `json:"error,omitempty"`
 
 	// Spec is the portable campaign this entry ran, stamped by
-	// sched.PrepareBatch so a manifest is self-describing: `compi store`
+	// sched.NewBatch so a manifest is self-describing: `compi store`
 	// can show what a batch actually asked for, and a reloaded batch whose
 	// spec drifted from the stored one is detected (and diffed) instead of
 	// silently reattached. Nil for entries written before the spec layer
@@ -43,8 +43,9 @@ type BatchEntry struct {
 }
 
 // BatchManifest records a scheduler batch: which campaigns it contains and
-// how far each has come. sched.Run writes it when a store is attached and
-// consults it (plus the setup index) to resume a partially-completed batch.
+// how far each has come. sched.Batch writes it, for sched.Run and the fleet
+// coordinator alike, when a store is attached; re-running the batch resumes
+// from it and the setup index.
 type BatchManifest struct {
 	ID      string       `json:"id"`
 	Entries []BatchEntry `json:"entries"`
@@ -52,16 +53,9 @@ type BatchManifest struct {
 
 // SaveBatch atomically writes the batch manifest.
 func (s *Store) SaveBatch(m *BatchManifest) error {
-	if m.ID == "" {
-		return fmt.Errorf("store: batch manifest without ID")
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return WriteAtomic(filepath.Join(s.dir, "batches", m.ID+".json"), func(w io.Writer) error {
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		return enc.Encode(m)
-	})
+	return s.saveBatch(m)
 }
 
 // LoadBatch reads a batch manifest by ID; a missing batch returns

@@ -2,6 +2,7 @@ package store
 
 import (
 	"encoding/json"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -25,12 +26,12 @@ type CompactStats struct {
 // under the new label's file and the index moves, leaving the old file as
 // dead weight.
 //
-// The setup index is the resume path's single source of truth (sched.runOne
-// loads snapshots only through Explored), so compaction keeps exactly what
-// resume can reach: every index-referenced file survives, batch manifest
-// entries pointing at a superseded file are rewritten to the index's
-// authoritative file (so `compi store` inspection stays consistent), and only
-// then are unreferenced files removed. Resuming after a Compact therefore
+// The setup index is the resume path's single source of truth
+// (sched.Batch.Start loads snapshots only through Explored), so compaction
+// keeps exactly what resume can reach: every index-referenced file survives,
+// batch manifest entries pointing at a superseded file are rewritten to the
+// index's authoritative file (so `compi store` inspection stays consistent),
+// and only then are unreferenced files removed. Resuming after a Compact therefore
 // reads the same snapshots as resuming before it — the equality the store
 // test suite pins.
 func (s *Store) Compact() (CompactStats, error) {
@@ -105,6 +106,9 @@ func (s *Store) Compact() (CompactStats, error) {
 
 // saveBatch is SaveBatch for callers already holding s.mu.
 func (s *Store) saveBatch(m *BatchManifest) error {
+	if m.ID == "" {
+		return fmt.Errorf("store: batch manifest without ID")
+	}
 	return WriteAtomic(filepath.Join(s.dir, "batches", m.ID+".json"), func(w io.Writer) error {
 		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")

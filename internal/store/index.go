@@ -26,8 +26,8 @@ import (
 // (deriveIndexEntry) from exactly three sources — the setup key, its
 // SetupRecord, and the campaign snapshot (params resolved from the batch
 // manifests) — whether the entry is written incrementally at campaign
-// completion (sched.runOne, the fleet coordinator) or rebuilt wholesale by
-// Reindex. Incremental and rebuilt indexes are therefore byte-identical by
+// completion (sched.Batch, for sched.Run and the fleet coordinator) or
+// rebuilt wholesale by Reindex. Incremental and rebuilt indexes are therefore byte-identical by
 // construction, which the store tests pin, and a lost or corrupted
 // index.json is never more than one Reindex away from recovery.
 //
@@ -220,7 +220,7 @@ func (s *Store) writeIndexLocked(entries []IndexEntry) error {
 }
 
 // IndexCampaign upserts one campaign's index entry — the completion hook
-// sched.runOne and the fleet coordinator call right after MarkExplored. A
+// sched.Batch calls right after MarkExplored succeeds. A
 // key the store cannot derive (empty: non-persistable spec) is a no-op. An
 // unreadable or corrupted index is rebuilt from scratch instead of patched,
 // so the incremental path can never propagate damage.

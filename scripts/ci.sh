@@ -91,8 +91,20 @@ fi
 "$BIN_DIR/compi" sched -targets skeleton -seeds 3,4 -iters 60 -state-dir "$STATE_DIR/store" > /dev/null
 "$BIN_DIR/compi" store -dir "$STATE_DIR/store" | grep -q 'solver cache' || {
   echo "compi store could not read back the state dir" >&2; exit 1; }
-go test ./internal/sched -run 'TestStoreBatchResumeEqualsFresh|TestStoreCrossBatchReuse' -count=1
+go test ./internal/sched -run 'TestStoreBatchResumeEqualsFresh|TestStoreCrossBatchReuse|TestStoreWriteFailuresSurface' -count=1
 rm -rf "$STATE_DIR"
+
+echo "== store write failures are reported (compi sched on a broken store) =="
+# A store whose setup index cannot be written must fail the batch loudly: the
+# summary names the failed writes and compi sched exits non-zero.
+FAIL_DIR="$(mktemp -d)"
+mkdir -p "$FAIL_DIR/store/setups.json"
+if "$BIN_DIR/compi" sched -targets skeleton -seeds 3 -iters 10 -state-dir "$FAIL_DIR/store" > "$FAIL_DIR/sched.out"; then
+  echo "compi sched exited 0 although its store writes failed" >&2; exit 1
+fi
+grep -q 'store write failed' "$FAIL_DIR/sched.out" || {
+  echo "compi sched did not report the failed store writes" >&2; exit 1; }
+rm -rf "$FAIL_DIR"
 
 echo "== corpus minimization preserves resume (store minimize between batches) =="
 # Minimizing the corpus between a short batch and its longer resume must not
