@@ -12,7 +12,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"reflect"
 	"runtime"
 	"testing"
 	"time"
@@ -160,12 +159,7 @@ func benchEngine(b *testing.B, name string, params map[string]int64, profile boo
 // benchCampaign repeats the campaign cfg describes on the named target, with
 // reduction and the MPI framework on, and reports iterations/s/core.
 func benchCampaign(b *testing.B, name string, cfg core.Config, profile bool) {
-	prog, ok := target.Lookup(name)
-	if !ok {
-		b.Fatalf("target %q not registered", name)
-	}
-	cfg.Program, cfg.Reduction, cfg.Framework = prog, true, true
-	cfg.RunTimeout = 30 * time.Second
+	cfg = campaignConfig(b, name, cfg)
 	b.ReportAllocs()
 	iters := 0
 	for i := 0; i < b.N; i++ {
@@ -180,6 +174,18 @@ func benchCampaign(b *testing.B, name string, cfg core.Config, profile bool) {
 	if sec := b.Elapsed().Seconds(); sec > 0 {
 		b.ReportMetric(float64(iters)/sec/float64(runtime.GOMAXPROCS(0)), "iters/s/core")
 	}
+}
+
+// campaignConfig completes cfg into a benchmark campaign on the named
+// target: reduction and the MPI framework on, a 30 s run timeout.
+func campaignConfig(b *testing.B, name string, cfg core.Config) core.Config {
+	prog, ok := target.Lookup(name)
+	if !ok {
+		b.Fatalf("target %q not registered", name)
+	}
+	cfg.Program, cfg.Reduction, cfg.Framework = prog, true, true
+	cfg.RunTimeout = 30 * time.Second
+	return cfg
 }
 
 // BenchmarkEngineHPL is the engine-throughput trajectory on HPL (the paper's
@@ -197,15 +203,18 @@ func BenchmarkEngineSUSY(b *testing.B) {
 	b.Run("profile=on", func(b *testing.B) { benchEngine(b, "susy-hmc", susy.FixAll(), true) })
 }
 
-// BenchmarkEngineSUSYLong is the long-campaign trajectory: 150 SUSY-HMC
-// iterations at seed 5 with a 30-execution DFS phase, which runs past the
-// DFS phase into constraint sets of hundreds of predicates. The 40-iteration
-// benchmarks above never reach that regime, where canonicalizing constraint
-// sets for the solver cache once cost more than solving them.
+// susyLong is the long SUSY-HMC campaign: 150 iterations at seed 5 with a
+// 30-execution DFS phase, which runs past the DFS phase into constraint sets
+// of hundreds of predicates.
+func susyLong() core.Config {
+	return core.Config{Params: susy.FixAll(), Iterations: 150, DFSPhase: 30, Seed: 5}
+}
+
+// BenchmarkEngineSUSYLong is the long-campaign trajectory on susyLong. The
+// 40-iteration benchmarks above never reach its regime, where every
+// proposal of an iteration is solved over the same long prefix.
 func BenchmarkEngineSUSYLong(b *testing.B) {
-	benchCampaign(b, "susy-hmc", core.Config{
-		Params: susy.FixAll(), Iterations: 150, DFSPhase: 30, Seed: 5,
-	}, false)
+	benchCampaign(b, "susy-hmc", susyLong(), false)
 }
 
 // solverCall is one recorded engine→solver request.
@@ -216,7 +225,7 @@ type solverCall struct {
 }
 
 // recordingSolver captures the solving workload of a campaign so it can be
-// replayed against fresh and warmed services.
+// replayed outside the engine.
 type recordingSolver struct {
 	svc   core.SolverService
 	calls []solverCall
@@ -235,107 +244,41 @@ func (r *recordingSolver) SolveIncremental(preds []expr.Pred, prev map[expr.Var]
 
 func (r *recordingSolver) Stats() solver.Stats { return r.svc.Stats() }
 
-// BenchmarkSolverCache measures the solver service on a recorded constraint
-// corpus: "cold" replays the workload through an empty service (every call a
-// live solve), "warm" through a pre-warmed one (the sharded-campaign steady
-// state). The warm case also reports the cache hit rate per call.
-func BenchmarkSolverCache(b *testing.B) {
-	prog, _ := target.Lookup("skeleton")
+// solveFunc is the signature of solver.SolveIncremental.
+type solveFunc func([]expr.Pred, map[expr.Var]int64, solver.Options) (solver.Result, bool)
+
+// BenchmarkSolveIncremental is the live-solve layer benchmark: the solver
+// calls of BenchmarkEngineSUSYLong's campaign, recorded once and replayed in
+// order. "fresh" replays them through the free function, which compiles
+// every predicate on every call; "service" through a new solver.Service per
+// replay, which compiles each predicate tree once, as a campaign's own
+// service does. Both report ns per call.
+func BenchmarkSolveIncremental(b *testing.B) {
+	cfg := campaignConfig(b, "susy-hmc", susyLong())
 	rec := &recordingSolver{svc: solver.NewService(solver.ServiceConfig{})}
-	core.NewEngine(core.Config{
-		Program: prog, Iterations: 80, Reduction: true,
-		Framework: true, Seed: 5, Solver: rec,
-	}).Run()
+	cfg.Solver = rec
+	core.NewEngine(cfg).Run()
 	if len(rec.calls) == 0 {
 		b.Fatal("recorded no solver calls")
 	}
-	replay := func(svc *solver.Service) {
-		for _, c := range rec.calls {
-			svc.SolveIncremental(c.preds, c.prev, c.opt)
-		}
-	}
-
-	b.Run("cold", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			replay(solver.NewService(solver.ServiceConfig{}))
-		}
-	})
-	b.Run("warm", func(b *testing.B) {
-		svc := solver.NewService(solver.ServiceConfig{})
-		replay(svc)
-		before := svc.Stats()
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			replay(svc)
-		}
-		b.StopTimer()
-		d := svc.Stats().Delta(before)
-		b.ReportMetric(d.HitRate(), "hit/call")
-	})
-}
-
-// BenchmarkWarmResume measures a second campaign run against a campaign
-// store's persisted proven-UNSAT cache: "cold" starts from an empty solver
-// service, "warm" imports the cache a first run saved. The warm runs must
-// answer part of the workload from the cache (reported as unsathit/run)
-// while producing exactly the cold trajectory — the cache is invisible in
-// the results, visible only in the work skipped.
-func BenchmarkWarmResume(b *testing.B) {
-	prog, _ := target.Lookup("skeleton")
-	mkCfg := func(svc core.SolverService) core.Config {
-		return core.Config{
-			Program: prog, Iterations: 80, Reduction: true,
-			Framework: true, Seed: 5, Solver: svc,
-		}
-	}
-	stats := func(res core.Result) []core.IterationStat {
-		its := append([]core.IterationStat(nil), res.Iterations...)
-		for i := range its {
-			its[i].Elapsed, its[i].RunTime = 0, 0
-		}
-		return its
-	}
-	ref := core.NewEngine(mkCfg(solver.NewService(solver.ServiceConfig{}))).Run()
-
-	st, err := store.Open(b.TempDir())
-	if err != nil {
-		b.Fatal(err)
-	}
-	seedSvc := solver.NewService(solver.ServiceConfig{})
-	core.NewEngine(mkCfg(seedSvc)).Run()
-	if err := st.SaveSolverCache(seedSvc); err != nil {
-		b.Fatal(err)
-	}
-
-	b.Run("cold", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			core.NewEngine(mkCfg(solver.NewService(solver.ServiceConfig{}))).Run()
-		}
-	})
-	b.Run("warm", func(b *testing.B) {
-		b.ReportAllocs()
-		var hits int64
-		for i := 0; i < b.N; i++ {
-			svc := solver.NewService(solver.ServiceConfig{})
-			if n, err := st.LoadSolverCacheInto(svc); err != nil || n == 0 {
-				b.Fatalf("warm import: n=%d err=%v", n, err)
+	for _, bc := range []struct {
+		name  string
+		solve func() solveFunc
+	}{
+		{"fresh", func() solveFunc { return solver.SolveIncremental }},
+		{"service", func() solveFunc { return solver.NewService(solver.ServiceConfig{}).SolveIncremental }},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				solve := bc.solve()
+				for _, c := range rec.calls {
+					solve(c.preds, c.prev, c.opt)
+				}
 			}
-			res := core.NewEngine(mkCfg(svc)).Run()
-			d := svc.Stats()
-			if d.UnsatHits == 0 {
-				b.Fatal("warm run never hit the imported UNSAT cache")
-			}
-			hits += d.UnsatHits
-			if !reflect.DeepEqual(res.Coverage.Branches(), ref.Coverage.Branches()) ||
-				!reflect.DeepEqual(stats(res), stats(ref)) {
-				b.Fatal("warm trajectory diverged from the cache-free run")
-			}
-		}
-		b.ReportMetric(float64(hits)/float64(b.N), "unsathit/run")
-	})
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(rec.calls)), "ns/call")
+		})
+	}
 }
 
 // benchQueryStore builds a store with synthetic indexed campaigns spread

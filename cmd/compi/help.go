@@ -19,9 +19,9 @@ func newHelpMode() *helpMode {
 	return m
 }
 
-func (m *helpMode) Name() string           { return "help" }
-func (m *helpMode) Synopsis() string       { return "list the registered modes" }
-func (m *helpMode) Flags() *flag.FlagSet   { return m.fs }
+func (m *helpMode) Name() string         { return "help" }
+func (m *helpMode) Synopsis() string     { return "list the registered modes" }
+func (m *helpMode) Flags() *flag.FlagSet { return m.fs }
 func (m *helpMode) Run(args []string) int {
 	m.fs.Parse(args)
 	if *m.names {

@@ -11,7 +11,7 @@ import (
 
 // reportMode answers cross-campaign questions from the store's campaign
 // index without replaying anything: which setups found an error, what
-// coverage each target reached, who contributed to the solver cache.
+// coverage each target reached, which campaigns proved refutations.
 type reportMode struct {
 	fs *flag.FlagSet
 
@@ -33,7 +33,7 @@ func newReportMode() *reportMode {
 
 func (m *reportMode) Name() string { return "report" }
 func (m *reportMode) Synopsis() string {
-	return "query the campaign index: errors by setup, coverage by target, cache contributions"
+	return "query the campaign index: errors by setup, coverage by target, refutation counts"
 }
 func (m *reportMode) Flags() *flag.FlagSet { return m.fs }
 

@@ -43,8 +43,8 @@ func newRunMode() *runMode {
 	return m
 }
 
-func (m *runMode) Name() string     { return "run" }
-func (m *runMode) Synopsis() string { return "run one testing campaign in-process (the default mode)" }
+func (m *runMode) Name() string                { return "run" }
+func (m *runMode) Synopsis() string            { return "run one testing campaign in-process (the default mode)" }
 func (m *runMode) Flags() *flag.FlagSet        { return m.fs }
 func (m *runMode) Excluded() map[string]string { return m.binder.Excluded() }
 

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"os"
 
-	"repro/internal/solver"
 	"repro/internal/store"
 )
 
@@ -84,13 +83,11 @@ func (m *storeMode) Run(args []string) int {
 		Counts map[string]int `json:"counts"` // status → entries
 	}
 	type inventory struct {
-		Dir         string         `json:"dir"`
-		Version     int            `json:"version"`
-		Campaigns   []campaignInfo `json:"campaigns"`
-		Batches     []batchInfo    `json:"batches"`
-		Setups      int            `json:"setups"`
-		SolverUnsat int            `json:"solverUnsat"`
-		SolverErr   string         `json:"solverErr,omitempty"`
+		Dir       string         `json:"dir"`
+		Version   int            `json:"version"`
+		Campaigns []campaignInfo `json:"campaigns"`
+		Batches   []batchInfo    `json:"batches"`
+		Setups    int            `json:"setups"`
 	}
 	inv := inventory{Dir: st.Dir(), Version: store.Version}
 
@@ -118,11 +115,6 @@ func (m *storeMode) Run(args []string) int {
 	if setups, err := st.Setups(); err == nil {
 		inv.Setups = len(setups)
 	}
-	n, err := st.LoadSolverCacheInto(solver.NewService(solver.ServiceConfig{}))
-	inv.SolverUnsat = n
-	if err != nil {
-		inv.SolverErr = err.Error()
-	}
 
 	if *m.jsonOut {
 		enc := json.NewEncoder(os.Stdout)
@@ -147,11 +139,6 @@ func (m *storeMode) Run(args []string) int {
 		fmt.Println()
 	}
 	fmt.Printf("setup index %d entries\n", inv.Setups)
-	if inv.SolverErr != "" {
-		fmt.Printf("solver cache unusable: %s\n", inv.SolverErr)
-	} else {
-		fmt.Printf("solver cache %d proven-unsat entries\n", inv.SolverUnsat)
-	}
 	return 0
 }
 

@@ -214,19 +214,16 @@ type Result struct {
 	SolverCall int
 	UnsatCalls int
 
-	// RefutedSkips counts solver calls the solver service answered from its
-	// UNSAT cache (solver.Result.Cached): the conjunction's canonical form
-	// was already proven unsatisfiable, so no search ran. These calls are
-	// included in SolverCall and UnsatCalls. Like Solver, the count is
-	// observational — a shared or store-warmed service answers more calls
-	// from its cache — so it is not part of a campaign's fingerprint.
+	// RefutedSkips is always 0: the solver service answers every call with
+	// a live solve. It remains for readers of the earlier UNSAT cache's
+	// counter.
 	RefutedSkips int
 
-	// Refutations counts the solver calls a live search proved
-	// unsatisfiable (Proven, not Cached): the refutations the campaign
-	// added to the service's UNSAT cache. A refutation the bounded cache
-	// evicted and a later call re-proves counts again. Observational, like
-	// RefutedSkips.
+	// Refutations counts the solver calls proved unsatisfiable (Proven): a
+	// constant-false predicate or a bounds-propagation refutation, as
+	// opposed to a search that ran out of candidates or budget. These calls
+	// are included in UnsatCalls. Observational: not part of a campaign's
+	// fingerprint.
 	Refutations int
 
 	// Profile is the phase-bin profiler report at campaign end, nil unless
@@ -238,10 +235,10 @@ type Result struct {
 
 	// Solver is the campaign's window of the solver-service counters
 	// (Stats at campaign end minus Stats at campaign start). For the
-	// default private service this is exactly the campaign's own cache
-	// activity; for a shared service it also includes whatever the other
-	// campaigns did in the window, so per-campaign attribution should use
-	// SolverCall/UnsatCalls and read cache rates off the shared service.
+	// default private service this is exactly the campaign's own solving;
+	// for a shared service it also includes whatever the other campaigns
+	// did in the window, so per-campaign attribution should use
+	// SolverCall/UnsatCalls.
 	Solver solver.Stats
 
 	// Schedule summarizes the match-order dimension (zero value unless
@@ -290,16 +287,15 @@ type Engine struct {
 	// just the final session's. startIter is the global iteration the next
 	// Run continues from — per-iteration seeds are iteration-indexed, so a
 	// resumed campaign must keep the global numbering.
-	startIter    int
-	iters        int
-	stats        []IterationStat
-	errors       []ErrorRecord
-	restarts     int
-	restartAt    []int
-	solverCalls  int
-	unsatCalls   int
-	refutedSkips int
-	refutations  int
+	startIter   int
+	iters       int
+	stats       []IterationStat
+	errors      []ErrorRecord
+	restarts    int
+	restartAt   []int
+	solverCalls int
+	unsatCalls  int
+	refutations int
 
 	// hist is the JSON of errors and stats up to the last Snapshot, which
 	// attaches it to the snapshot it takes (see history).
@@ -429,17 +425,16 @@ func (e *Engine) Run() Result {
 		}
 	}
 	res := Result{
-		Coverage:     e.cov,
-		Iterations:   append([]IterationStat(nil), e.stats...),
-		Errors:       append([]ErrorRecord(nil), e.errors...),
-		Elapsed:      time.Since(start),
-		Restarts:     e.restarts,
-		RestartAt:    append([]int(nil), e.restartAt...),
-		SolverCall:   e.solverCalls,
-		UnsatCalls:   e.unsatCalls,
-		RefutedSkips: e.refutedSkips,
-		Refutations:  e.refutations,
-		Schedule:     scheduleStats(e.schedPoints, e.schedOrders, e.errors),
+		Coverage:    e.cov,
+		Iterations:  append([]IterationStat(nil), e.stats...),
+		Errors:      append([]ErrorRecord(nil), e.errors...),
+		Elapsed:     time.Since(start),
+		Restarts:    e.restarts,
+		RestartAt:   append([]int(nil), e.restartAt...),
+		SolverCall:  e.solverCalls,
+		UnsatCalls:  e.unsatCalls,
+		Refutations: e.refutations,
+		Schedule:    scheduleStats(e.schedPoints, e.schedOrders, e.errors),
 	}
 	res.Solver = e.solver.Stats().Delta(solver0)
 	res.Profile = e.prof.Report()
@@ -562,9 +557,6 @@ func (e *Engine) iterate(it int) IterationStat {
 		sp.End()
 		e.solverCalls++
 
-		// A conjunction proven unsatisfiable earlier (canonically: renamed or
-		// reordered variants collide) comes back from the service's UNSAT
-		// cache without a search; that cache is the one refutation layer.
 		sp = e.prof.Time("solve")
 		sol, sat := e.solver.SolveIncremental(preds, e.prev, solver.Options{
 			Seed:     e.cfg.Seed + int64(it)*7919,
@@ -573,10 +565,7 @@ func (e *Engine) iterate(it int) IterationStat {
 		sp.End()
 		if !sat {
 			e.unsatCalls++
-			switch {
-			case sol.Cached:
-				e.refutedSkips++
-			case sol.Proven:
+			if sol.Proven {
 				e.refutations++
 			}
 			e.strategy.Reject()

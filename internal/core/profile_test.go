@@ -78,9 +78,9 @@ func TestProfileBins(t *testing.T) {
 	if !ok || solve.Count == 0 {
 		t.Fatalf("solve bin: %+v", solve)
 	}
-	canon, ok := res.Profile.Get("solver.canon")
-	if !ok || canon.Count != solve.Count {
-		t.Fatalf("solver.canon bin %+v does not match solve bin %+v", canon, solve)
+	live, ok := res.Profile.Get("solver.live")
+	if !ok || live.Count != solve.Count {
+		t.Fatalf("solver.live bin %+v does not match solve bin %+v", live, solve)
 	}
 	snap, ok := res.Profile.Get("snapshot")
 	if !ok || snap.Count != int64(checkpoints) {

@@ -215,35 +215,6 @@ func TestCheckpointCadence(t *testing.T) {
 	}
 }
 
-// TestRestartDedupSkipsProvenUnsat pins the restart-loop dedup, which lives
-// in the solver service: a campaign long enough to restart re-derives
-// constraint sets it already refuted, the service's UNSAT cache answers them
-// without a search, and the engine's RefutedSkips counts exactly those
-// answers — with a private service, its UnsatHits window.
-func TestRestartDedupSkipsProvenUnsat(t *testing.T) {
-	res := NewEngine(Config{
-		Program: skeletonProg(t), Iterations: 120, Reduction: true,
-		Framework: true, Seed: 3, RunTimeout: 5 * time.Second,
-	}).Run()
-	if res.Restarts == 0 {
-		t.Skip("campaign never restarted; dedup not exercised")
-	}
-	if res.RefutedSkips == 0 {
-		t.Fatal("restarted campaign never hit the service's UNSAT cache")
-	}
-	if int64(res.RefutedSkips) != res.Solver.UnsatHits {
-		t.Fatalf("engine counted %d skips, its private service answered %d from the UNSAT cache",
-			res.RefutedSkips, res.Solver.UnsatHits)
-	}
-	if res.Refutations == 0 {
-		t.Fatal("restarted campaign proved no refutation live")
-	}
-	if res.RefutedSkips+res.Refutations > res.UnsatCalls {
-		t.Fatalf("dedup accounting inconsistent: %d skips + %d refutations > %d unsat calls",
-			res.RefutedSkips, res.Refutations, res.UnsatCalls)
-	}
-}
-
 // TestResumeV3SnapshotWithRefutedKeys pins compatibility with snapshots
 // written while the engine kept its own refuted set: the committed v3
 // fixture (skeleton, seed 3, taken at iteration 70 of 120) still carries its

@@ -52,12 +52,15 @@ type Snapshot struct {
 	// per-iteration solver and launch seeds are iteration-indexed).
 	Iters int `json:"iters,omitempty"`
 
-	Restarts     int   `json:"restarts,omitempty"`
-	RestartAt    []int `json:"restartAt,omitempty"`
-	SolverCalls  int   `json:"solverCalls,omitempty"`
-	UnsatCalls   int   `json:"unsatCalls,omitempty"`
-	RefutedSkips int   `json:"refutedSkips,omitempty"`
-	Refutations  int   `json:"refutations,omitempty"`
+	Restarts    int   `json:"restarts,omitempty"`
+	RestartAt   []int `json:"restartAt,omitempty"`
+	SolverCalls int   `json:"solverCalls,omitempty"`
+	UnsatCalls  int   `json:"unsatCalls,omitempty"`
+
+	// RefutedSkips is decoded from snapshots written while the solver
+	// service kept an UNSAT cache; the engine no longer sets it.
+	RefutedSkips int `json:"refutedSkips,omitempty"`
+	Refutations  int `json:"refutations,omitempty"`
 
 	// VarOrder is the engine variable space's names in allocation (ID)
 	// order. Restore re-allocates them in this order so variable IDs — and
@@ -142,25 +145,24 @@ type StrategyState struct {
 // Snapshot captures the engine's current persistent state.
 func (e *Engine) Snapshot() *Snapshot {
 	s := &Snapshot{
-		Version:      SnapshotVersion,
-		Program:      e.cfg.Program.Name,
-		Inputs:       cloneInputs(e.inputs),
-		Caps:         map[string]int64{},
-		Prev:         map[string]int64{},
-		NProcs:       e.cur.nprocs,
-		Focus:        e.cur.focus,
-		Covered:      e.cov.Branches(),
-		Iters:        e.iters,
-		Restarts:     e.restarts,
-		RestartAt:    append([]int(nil), e.restartAt...),
-		SolverCalls:  e.solverCalls,
-		UnsatCalls:   e.unsatCalls,
-		RefutedSkips: e.refutedSkips,
-		Refutations:  e.refutations,
-		VarOrder:     e.vars.Names(),
-		RNG:          e.rng.state,
-		Errors:       append([]ErrorRecord(nil), e.errors...),
-		Stats:        append([]IterationStat(nil), e.stats...),
+		Version:     SnapshotVersion,
+		Program:     e.cfg.Program.Name,
+		Inputs:      cloneInputs(e.inputs),
+		Caps:        map[string]int64{},
+		Prev:        map[string]int64{},
+		NProcs:      e.cur.nprocs,
+		Focus:       e.cur.focus,
+		Covered:     e.cov.Branches(),
+		Iters:       e.iters,
+		Restarts:    e.restarts,
+		RestartAt:   append([]int(nil), e.restartAt...),
+		SolverCalls: e.solverCalls,
+		UnsatCalls:  e.unsatCalls,
+		Refutations: e.refutations,
+		VarOrder:    e.vars.Names(),
+		RNG:         e.rng.state,
+		Errors:      append([]ErrorRecord(nil), e.errors...),
+		Stats:       append([]IterationStat(nil), e.stats...),
 	}
 	e.hist.errors, e.hist.nErrors = extend(e.hist.errors, e.hist.nErrors, e.errors)
 	e.hist.stats, e.hist.nStats = extend(e.hist.stats, e.hist.nStats, e.stats)
@@ -317,7 +319,6 @@ func (e *Engine) Restore(s *Snapshot) error {
 	e.restartAt = append([]int(nil), s.RestartAt...)
 	e.solverCalls = s.SolverCalls
 	e.unsatCalls = s.UnsatCalls
-	e.refutedSkips = s.RefutedSkips
 	e.refutations = s.Refutations
 	if s.Version >= 2 {
 		e.rng.state = s.RNG
@@ -371,16 +372,15 @@ func (s *Snapshot) Result() Result {
 		}
 	}
 	return Result{
-		Coverage:     cov,
-		Iterations:   its,
-		Errors:       append([]ErrorRecord(nil), s.Errors...),
-		Restarts:     s.Restarts,
-		RestartAt:    append([]int(nil), s.RestartAt...),
-		SolverCall:   s.SolverCalls,
-		UnsatCalls:   s.UnsatCalls,
-		RefutedSkips: s.RefutedSkips,
-		Refutations:  s.Refutations,
-		Schedule:     scheduleStats(s.SchedPoints, s.SchedOrders, s.Errors),
+		Coverage:    cov,
+		Iterations:  its,
+		Errors:      append([]ErrorRecord(nil), s.Errors...),
+		Restarts:    s.Restarts,
+		RestartAt:   append([]int(nil), s.RestartAt...),
+		SolverCall:  s.SolverCalls,
+		UnsatCalls:  s.UnsatCalls,
+		Refutations: s.Refutations,
+		Schedule:    scheduleStats(s.SchedPoints, s.SchedOrders, s.Errors),
 	}
 }
 

@@ -75,4 +75,3 @@ func noFwkCombined(tn tuning, s Scale, seed int64) int {
 	}
 	return union.Count()
 }
-

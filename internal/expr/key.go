@@ -6,12 +6,12 @@ import (
 )
 
 // CanonVersion identifies the canonicalization algorithm that produced a
-// Key. Persisted canonical keys (the campaign store's cross-run UNSAT cache)
-// are only meaningful under the algorithm that computed them: a normalization
-// or numbering change silently re-keys every conjunction, so a stale cache
-// would stop colliding at best and collide wrongly at worst. Bump this
-// whenever canon.go changes the canonical form; loaders discard persisted
-// keys whose recorded version differs.
+// Key. Persisted canonical keys (the campaign store's cross-run UNSAT cache,
+// which is no longer written) are only meaningful under the algorithm that
+// computed them: a normalization or numbering change silently re-keys every
+// conjunction, so a stale cache would stop colliding at best and collide
+// wrongly at worst. Bump this whenever canon.go changes the canonical form;
+// loaders discard persisted keys whose recorded version differs.
 const CanonVersion = 1
 
 // MarshalText renders the key as lowercase hex, making Key usable directly

@@ -2,9 +2,9 @@ package expr
 
 import "sync"
 
-// KeyMemo computes CanonicalKey for the solver service, which canonicalizes
-// every conjunction it is asked to solve, and caches the part of the work
-// that carries over between calls: each predicate tree's normalized form.
+// KeyMemo computes CanonicalKey for a caller that canonicalizes conjunction
+// after conjunction of one campaign, and caches the part of the work that
+// carries over between calls: each predicate tree's normalized form.
 // Engines submit proposal after proposal sharing the semantic constraints
 // and the path prefix, so nearly every predicate of a call was normalized by
 // an earlier one; only the set-level work — refinement and ordering — runs

@@ -215,13 +215,9 @@ func TestStoreMinimizePreservesResume(t *testing.T) {
 	}
 }
 
-// TestStoreWideCacheAcrossTargets pins the store-wide (not per-batch) cache
-// at the campaign level: a store seeded by batches on two different targets
-// accumulates one merged UNSAT cache, and a later batch warmed from it is
-// fingerprint-identical to a cold, storeless run. (The cross-target cache
-// *hit* itself — a refutation proven under one target answering another
-// target's renamed constraint — is pinned at mechanism level in the store
-// package's TestUnsatCacheSharesAcrossTargets.)
+// TestStoreWideCacheAcrossTargets: a batch over a store that batches on two
+// other targets already wrote is fingerprint-identical to a cold, storeless
+// run.
 func TestStoreWideCacheAcrossTargets(t *testing.T) {
 	if testing.Short() {
 		t.Skip("campaign test")
@@ -236,9 +232,7 @@ func TestStoreWideCacheAcrossTargets(t *testing.T) {
 	cold := fingerprintOf(Run(mkSpecs(), Options{Workers: 2}))
 
 	st := openStore(t)
-	// Two seeding batches on different targets; their cache contributions
-	// merge into one store-wide solver.json rather than the second batch
-	// overwriting the first.
+	// Two seeding batches on different targets.
 	stencilOnly := storeSpecs(40)[1:] // the stencil spec alone
 	Run(stencilOnly, Options{Workers: 1, Store: st})
 	seedSpecs := []Spec{skeletonSpec(7)}
@@ -249,10 +243,7 @@ func TestStoreWideCacheAcrossTargets(t *testing.T) {
 	}
 
 	warm := Run(mkSpecs(), Options{Workers: 2, Store: st})
-	if warm.WarmUnsat == 0 {
-		t.Fatal("third batch imported no UNSAT entries from the store-wide cache")
-	}
 	if !reflect.DeepEqual(fingerprintOf(warm), cold) {
-		t.Fatal("store-wide warm cache changed campaign results")
+		t.Fatal("a store written by batches on other targets changed campaign results")
 	}
 }

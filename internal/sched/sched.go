@@ -168,10 +168,6 @@ type Report struct {
 	// (zero when every spec brought its own solver).
 	Solver solver.Stats
 
-	// WarmUnsat is the number of proven-UNSAT cache entries imported from
-	// the campaign store before the batch started (0 without a store).
-	WarmUnsat int
-
 	// Profile is the batch's phase-profile window (nil unless the run was
 	// given Options.Profiler): every campaign's engine bins plus the shared
 	// solver service's, aggregated across the whole batch.
@@ -259,7 +255,7 @@ func (r *Report) WriteSummary(w io.Writer) {
 		fmt.Fprintf(w, "\n%s", r.Profile.String())
 	}
 	if r.BatchID != "" {
-		fmt.Fprintf(w, "\nstore batch %s (%d warm unsat entries)\n", r.BatchID, r.WarmUnsat)
+		fmt.Fprintf(w, "\nstore batch %s\n", r.BatchID)
 	}
 	if r.StoreErr != nil {
 		fmt.Fprintf(w, "\nstore write failed: %v\n", r.StoreErr)
@@ -282,11 +278,10 @@ type Options struct {
 
 	// Solver, when non-nil, is the shared solver service every campaign in
 	// the batch uses (specs whose Config.Solver is already set keep their
-	// own). When nil, Run constructs one solver.Service for the batch —
-	// sharded campaigns negate overlapping path prefixes, so sharing the
-	// SAT/UNSAT caches across them is where the batching win comes from.
-	// Sharing is safe for the determinism contract because a service hit
-	// returns exactly what the live solve would (see core.SolverService).
+	// own). When nil, Run constructs one solver.Service for the batch, so
+	// its campaigns share one compile cache. Sharing is safe for the
+	// determinism contract because the service returns exactly what the
+	// live solve would (see core.SolverService).
 	Solver core.SolverService
 
 	// Profiler, when non-nil, is shared by every campaign in the batch
@@ -298,15 +293,12 @@ type Options struct {
 
 	// Store, when non-nil, makes the batch durable: campaign snapshots are
 	// checkpointed into the store as they run, a batch manifest tracks
-	// progress, the shared solver service starts warm from the store-wide
-	// UNSAT cache (and merges its new refutations back at the end — the
-	// cache is keyed on target-independent canonical forms, so batches on
-	// different targets warm each other), campaign index entries are
-	// written at each completion, and specs whose canonical setup a prior
-	// batch already explored are resumed or reattached instead of re-run
-	// (see Batch). Campaigns checkpoint every iteration. Determinism is
-	// unaffected: resumed and reattached results are identical to freshly
-	// computed ones. Failed writes are reported in Report.StoreErr.
+	// progress, campaign index entries are written at each completion, and
+	// specs whose canonical setup a prior batch already explored are
+	// resumed or reattached instead of re-run (see Batch). Campaigns
+	// checkpoint every iteration. Determinism is unaffected: resumed and
+	// reattached results are identical to freshly computed ones. Failed
+	// writes are reported in Report.StoreErr.
 	Store *store.Store
 
 	// BatchID names this run's batch manifest in the store; empty derives
@@ -334,7 +326,7 @@ func Run(specs []Spec, opt Options) *Report {
 
 	// One solver service per batch: campaigns negating overlapping path
 	// prefixes (shards of one target in particular) reuse each other's
-	// SAT results and proven-UNSAT sets.
+	// compiled predicates.
 	shared := opt.Solver
 	if shared == nil {
 		shared = solver.NewService(solver.ServiceConfig{Profiler: opt.Profiler})
@@ -342,15 +334,6 @@ func Run(specs []Spec, opt Options) *Report {
 	solver0 := shared.Stats()
 	prof0 := opt.Profiler.Report()
 
-	// Campaign store wiring: warm the shared service from the persisted
-	// UNSAT cache (proven refutations are run-independent, so this cannot
-	// perturb trajectories; a cache that fails verification is skipped, as
-	// a cold start is always correct) and open the batch manifest.
-	svc, _ := shared.(*solver.Service)
-	warm := 0
-	if opt.Store != nil && svc != nil {
-		warm, _ = opt.Store.LoadSolverCacheInto(svc)
-	}
 	b := NewBatch(specs, opt.Store, opt.BatchID)
 
 	var traceMu sync.Mutex
@@ -371,14 +354,10 @@ func Run(specs []Spec, opt Options) *Report {
 	close(jobs)
 	wg.Wait()
 	elapsed := time.Since(start)
-	if opt.Store != nil && svc != nil {
-		b.keep("solver cache", opt.Store.SaveSolverCache(svc))
-	}
 
 	rep := b.Report(workers)
 	rep.Elapsed = elapsed
 	rep.Solver = shared.Stats().Delta(solver0)
-	rep.WarmUnsat = warm
 	if opt.Profiler != nil {
 		rep.Profile = opt.Profiler.Report().Delta(prof0)
 	}

@@ -262,7 +262,7 @@ func TestBatchProfileRollup(t *testing.T) {
 	if !ok || exec.Count != iters {
 		t.Fatalf("execute bin count %d (present=%v), want one per iteration (%d)", exec.Count, ok, iters)
 	}
-	for _, bin := range []string{"trace-collect", "constraint-build", "solve", "solver.canon"} {
+	for _, bin := range []string{"trace-collect", "constraint-build", "solve", "solver.live"} {
 		if st, ok := profiled.Profile.Get(bin); !ok || st.Count == 0 {
 			t.Fatalf("batch profile missing %q bin: %v", bin, profiled.Profile)
 		}

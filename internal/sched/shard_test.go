@@ -169,13 +169,9 @@ func TestSharedServiceAcrossTargets(t *testing.T) {
 	if r1.Solver.Calls != first.Calls || first.Calls == 0 {
 		t.Fatalf("batch window %d != service counters %d", r1.Solver.Calls, first.Calls)
 	}
-	// The second, identical batch is served largely from the warm caches and
+	// The second, identical batch reads the forms the first compiled and
 	// must produce the identical campaign.
 	r2 := Run([]Spec{skeletonSpec(9)}, Options{Workers: 1, Solver: svc})
-	delta := svc.Stats().Delta(first)
-	if delta.SATHits+delta.UnsatHits == 0 {
-		t.Fatalf("warm rerun hit nothing: %+v", delta)
-	}
 	if !reflect.DeepEqual(r1.Campaigns[0].Result.Coverage.Branches(),
 		r2.Campaigns[0].Result.Coverage.Branches()) {
 		t.Fatal("warm rerun changed coverage")

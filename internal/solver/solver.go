@@ -21,7 +21,7 @@ package solver
 import (
 	"math"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"repro/internal/expr"
 )
@@ -65,15 +65,8 @@ type Result struct {
 	// means the conjunction was *refuted* — a constant-false predicate, or
 	// bounds propagation emptying a variable's domain — rather than merely
 	// exhausting the search budget. Refutation is independent of previous
-	// values, seed and budget, which is what makes a proven UNSAT safe to
-	// cache across runs.
+	// values, seed and budget.
 	Proven bool
-
-	// Cached is meaningful only on an unsatisfiable return: true means a
-	// Service answered from its UNSAT cache without searching (Proven is
-	// then true as well). It reports where the answer came from, never what
-	// it is, so callers may count it but must not branch on it.
-	Cached bool
 }
 
 // Solve finds an assignment satisfying every predicate in preds, preferring
@@ -81,7 +74,7 @@ type Result struct {
 // or the search budget is exhausted.
 func Solve(preds []expr.Pred, prev map[expr.Var]int64, opt Options) (Result, bool) {
 	opt = opt.normalized()
-	p := newProblem(preds, prev, opt)
+	p := newProblem(preds, compileAll(preds), prev, opt)
 	vals, ok, proven := p.solve()
 	if !ok {
 		return Result{Proven: proven}, false
@@ -103,7 +96,7 @@ func SolveIncremental(preds []expr.Pred, prev map[expr.Var]int64, opt Options) (
 		return makeResult(vals, prev), true
 	}
 	sub := incrementalSubset(preds)
-	p := newProblem(sub, prev, opt)
+	p := newProblem(sub, compileAll(sub), prev, opt)
 	vals, ok, proven := p.solve()
 	if !ok {
 		return Result{Proven: proven}, false
@@ -210,12 +203,38 @@ func (a iv) clampTo(b iv) iv {
 	return a
 }
 
-// constraint is a predicate with its cached linear form.
-type constraint struct {
-	pred  expr.Pred
+// form is a predicate tree's solver form: its linear form, when it has one,
+// and its variables in ascending order. It depends only on the tree, so a
+// predicate and its negation share one form. Forms are read-only once built.
+type form struct {
 	lin   expr.Linear
 	isLin bool
 	vars  []expr.Var
+}
+
+// compile builds the solver form of e.
+func compile(e *expr.Expr) *form {
+	f := &form{}
+	f.lin, f.isLin = e.AsLinear()
+	f.vars = appendVars(nil, e)
+	slices.Sort(f.vars)
+	f.vars = slices.Compact(f.vars)
+	return f
+}
+
+// compileAll compiles every predicate's tree afresh.
+func compileAll(preds []expr.Pred) []*form {
+	forms := make([]*form, len(preds))
+	for i, p := range preds {
+		forms[i] = compile(p.E)
+	}
+	return forms
+}
+
+// constraint is a predicate with its solver form.
+type constraint struct {
+	pred expr.Pred
+	*form
 }
 
 type problem struct {
@@ -229,31 +248,25 @@ type problem struct {
 	max   int
 }
 
-func newProblem(preds []expr.Pred, prev map[expr.Var]int64, opt Options) *problem {
+// newProblem builds the problem over preds, forms[i] being preds[i]'s form.
+func newProblem(preds []expr.Pred, forms []*form, prev map[expr.Var]int64, opt Options) *problem {
 	p := &problem{
+		cons: make([]constraint, len(preds)),
 		dom:  map[expr.Var]iv{},
 		prev: prev,
 		seed: opt.Seed,
 		max:  opt.MaxNodes,
 	}
-	seen := map[expr.Var]struct{}{}
-	for _, pr := range preds {
-		c := constraint{pred: pr}
-		c.lin, c.isLin = pr.E.AsLinear()
-		vs := map[expr.Var]struct{}{}
-		pr.Vars(vs)
-		for v := range vs {
-			c.vars = append(c.vars, v)
-			if _, ok := seen[v]; !ok {
-				seen[v] = struct{}{}
-				p.vars = append(p.vars, v)
+	for i, pr := range preds {
+		p.cons[i] = constraint{pred: pr, form: forms[i]}
+		for _, v := range forms[i].vars {
+			if _, ok := p.dom[v]; !ok {
 				p.dom[v] = iv{opt.Lo, opt.Hi}
+				p.vars = append(p.vars, v)
 			}
 		}
-		sort.Slice(c.vars, func(i, j int) bool { return c.vars[i] < c.vars[j] })
-		p.cons = append(p.cons, c)
 	}
-	sort.Slice(p.vars, func(i, j int) bool { return p.vars[i] < p.vars[j] })
+	slices.Sort(p.vars)
 	return p
 }
 
@@ -261,8 +274,7 @@ func newProblem(preds []expr.Pred, prev map[expr.Var]int64, opt Options) *proble
 // when the conjunction is *refuted* — a constant-false predicate or root
 // bounds propagation emptying a domain — which, unlike a failed search (an
 // incomplete enumeration under a node budget), holds for every choice of
-// previous values, seed and budget. The solver service's UNSAT cache relies
-// on exactly that distinction.
+// previous values, seed and budget.
 func (p *problem) solve() (vals map[expr.Var]int64, ok, provenUnsat bool) {
 	// Trivially reject constant-false predicates.
 	for _, c := range p.cons {

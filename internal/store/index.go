@@ -18,8 +18,8 @@ import (
 // This file is the campaign index: the store's queryable summary of every
 // persisted campaign, one entry per canonical setup key. The index is what
 // turns the store from a snapshot filer into a service — `compi report`
-// answers "which setups found error X", "coverage by target", and "cache
-// contribution by setup" from index.json alone, without replaying or even
+// answers "which setups found error X", "coverage by target", and
+// "refutations by setup" from index.json alone, without replaying or even
 // loading a snapshot.
 //
 // The index is derived data. Every entry is computed by one function
@@ -31,9 +31,9 @@ import (
 // construction, which the store tests pin, and a lost or corrupted
 // index.json is never more than one Reindex away from recovery.
 //
-// index.json is schema-versioned and checksummed like the UNSAT cache:
-// verification failure on load reports a descriptive error and the reader
-// falls back to Reindex rather than serving garbage.
+// index.json is schema-versioned and checksummed: verification failure on
+// load reports a descriptive error and the reader falls back to Reindex
+// rather than serving garbage.
 
 // IndexVersion is the index.json schema version.
 const IndexVersion = 1
@@ -47,9 +47,8 @@ type IndexError struct {
 }
 
 // IndexEntry summarizes one campaign: identity (setup key, target, campaign
-// file, batch), outcome (iterations, coverage, errors), and solver-cache
-// economics (refutations contributed to the store-wide cache, solver calls
-// skipped thanks to it).
+// file, batch), outcome (iterations, coverage, errors), and refutation
+// counts.
 type IndexEntry struct {
 	Key      string `json:"key"`
 	Target   string `json:"target"`
@@ -68,11 +67,11 @@ type IndexEntry struct {
 	Errors    []IndexError `json:"errors,omitempty"`
 	Deadlocks int          `json:"deadlocks,omitempty"`
 
-	// UnsatContrib is the campaign's refutations proven by a live search,
-	// the ones it added to the UNSAT cache the store persists
-	// (core.Snapshot.Refutations); RefutedSkips the solver calls that cache
-	// answered without solving. Both depend on what else warmed the
-	// service, so neither is part of the coverage fingerprint.
+	// UnsatContrib is the campaign's proven refutations
+	// (core.Snapshot.Refutations). RefutedSkips is carried from snapshots
+	// written while the solver service kept an UNSAT cache: the calls that
+	// cache answered without solving. Neither is part of the coverage
+	// fingerprint.
 	UnsatContrib int `json:"unsatContrib,omitempty"`
 	RefutedSkips int `json:"refutedSkips,omitempty"`
 
@@ -313,7 +312,7 @@ func SetupsWithError(entries []IndexEntry, substr string) []IndexEntry {
 
 // TargetSummary is the per-target rollup ByTarget computes from the index:
 // how many setups ran the target, the best single-campaign coverage, the
-// distinct error keys across all setups, and the cache economics.
+// distinct error keys across all setups, and the refutation counts.
 type TargetSummary struct {
 	Target       string `json:"target"`
 	Setups       int    `json:"setups"`

@@ -2,16 +2,13 @@ package store
 
 import (
 	"os"
-	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
 
 	"repro/internal/conc"
 	"repro/internal/core"
-	"repro/internal/expr"
 	"repro/internal/mpi"
-	"repro/internal/solver"
 )
 
 // indexedStore builds a store with two campaigns on different targets (one
@@ -180,84 +177,6 @@ func TestIndexCorruptionDetectedAndRecovered(t *testing.T) {
 	healed, _ := os.ReadFile(path)
 	if string(healed) != string(orig) {
 		t.Fatal("incremental writer did not heal the corrupt index")
-	}
-}
-
-// TestSolverCacheMergeOnSave pins the store-wide cache semantics: saving a
-// second service's cache unions with what solver.json already holds instead
-// of overwriting it, so one batch can never erase another's refutations.
-func TestSolverCacheMergeOnSave(t *testing.T) {
-	s, err := Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.SaveSolverCache(warmService(t, 4)); err != nil {
-		t.Fatal(err)
-	}
-	// The second service overlaps the first (entries 0..5 vs 0..3): the
-	// merged cache must hold the union, not either side alone.
-	if err := s.SaveSolverCache(warmService(t, 6)); err != nil {
-		t.Fatal(err)
-	}
-	svc := solver.NewService(solver.ServiceConfig{})
-	if n, err := s.LoadSolverCacheInto(svc); err != nil || n != 6 {
-		t.Fatalf("merged cache: n=%d err=%v", n, err)
-	}
-	// Saving a service with nothing new keeps the cache intact.
-	if err := s.SaveSolverCache(solver.NewService(solver.ServiceConfig{})); err != nil {
-		t.Fatal(err)
-	}
-	if n, err := s.LoadSolverCacheInto(solver.NewService(solver.ServiceConfig{})); err != nil || n != 6 {
-		t.Fatalf("empty save erased entries: n=%d err=%v", n, err)
-	}
-	// A corrupt existing file is healed, not merged with.
-	path := filepath.Join(s.Dir(), "solver.json")
-	os.WriteFile(path, []byte("}{"), 0o644)
-	if err := s.SaveSolverCache(warmService(t, 2)); err != nil {
-		t.Fatal(err)
-	}
-	if n, err := s.LoadSolverCacheInto(solver.NewService(solver.ServiceConfig{})); err != nil || n != 2 {
-		t.Fatalf("post-heal cache: n=%d err=%v", n, err)
-	}
-}
-
-// TestUnsatCacheSharesAcrossTargets pins the cross-target mechanism: a
-// refutation proven under one target answers the same constraint shape from
-// another target — different variable IDs, different conjunct order — as a
-// cache hit, because entries are keyed by the rename/reorder-invariant
-// expr.CanonicalKey.
-func TestUnsatCacheSharesAcrossTargets(t *testing.T) {
-	s, err := Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Target one proves x0 <= 3 ∧ x0 >= 4 UNSAT and persists the cache.
-	one := solver.NewService(solver.ServiceConfig{})
-	if _, ok := one.SolveIncremental([]expr.Pred{
-		expr.Compare(expr.VarRef(0), expr.Const(3), expr.LE),
-		expr.Compare(expr.VarRef(0), expr.Const(4), expr.GE),
-	}, nil, solver.Options{Seed: 1}); ok {
-		t.Fatal("conjunction unexpectedly SAT")
-	}
-	if err := s.SaveSolverCache(one); err != nil {
-		t.Fatal(err)
-	}
-
-	// Target two derives the same shape over its own variable space:
-	// different variable ID, conjuncts in the opposite order.
-	two := solver.NewService(solver.ServiceConfig{})
-	if n, err := s.LoadSolverCacheInto(two); err != nil || n == 0 {
-		t.Fatalf("warm load: n=%d err=%v", n, err)
-	}
-	res, ok := two.SolveIncremental([]expr.Pred{
-		expr.Compare(expr.VarRef(7), expr.Const(4), expr.GE),
-		expr.Compare(expr.VarRef(7), expr.Const(3), expr.LE),
-	}, nil, solver.Options{Seed: 9})
-	if ok {
-		t.Fatalf("renamed conjunction SAT: %+v", res)
-	}
-	if st := two.Stats(); st.UnsatHits != 1 || st.Misses != 0 {
-		t.Fatalf("expected a pure cache hit, stats %+v", st)
 	}
 }
 

@@ -12,7 +12,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/expr"
-	"repro/internal/solver"
 )
 
 func TestWriteAtomicBasics(t *testing.T) {
@@ -196,97 +195,5 @@ func TestSetupIndex(t *testing.T) {
 	all, err := s.Setups()
 	if err != nil || len(all) != 1 {
 		t.Fatalf("setups %v (%v)", all, err)
-	}
-}
-
-// warmService returns a service with n proven-UNSAT conjunctions cached.
-func warmService(t *testing.T, n int64) *solver.Service {
-	t.Helper()
-	svc := solver.NewService(solver.ServiceConfig{})
-	for i := int64(0); i < n; i++ {
-		preds := []expr.Pred{
-			expr.Compare(expr.VarRef(0), expr.Const(i), expr.LE),
-			expr.Compare(expr.VarRef(0), expr.Const(i+1), expr.GE),
-		}
-		if _, ok := svc.SolveIncremental(preds, nil, solver.Options{Seed: 1}); ok {
-			t.Fatalf("conjunction %d unexpectedly SAT", i)
-		}
-	}
-	return svc
-}
-
-func TestSolverCacheRoundTrip(t *testing.T) {
-	s, err := Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	// No cache file yet: cold start, no error.
-	fresh := solver.NewService(solver.ServiceConfig{})
-	if n, err := s.LoadSolverCacheInto(fresh); n != 0 || err != nil {
-		t.Fatalf("missing cache: n=%d err=%v", n, err)
-	}
-
-	if err := s.SaveSolverCache(warmService(t, 6)); err != nil {
-		t.Fatal(err)
-	}
-	warm := solver.NewService(solver.ServiceConfig{})
-	n, err := s.LoadSolverCacheInto(warm)
-	if err != nil || n != 6 {
-		t.Fatalf("load: n=%d err=%v", n, err)
-	}
-	if warm.UnsatLen() != 6 {
-		t.Fatalf("UnsatLen %d", warm.UnsatLen())
-	}
-}
-
-func TestSolverCacheVerificationOnLoad(t *testing.T) {
-	s, err := Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.SaveSolverCache(warmService(t, 4)); err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(s.Dir(), "solver.json")
-	orig, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	corrupt := func(mutate func(*solverFile)) error {
-		var sf solverFile
-		if err := json.Unmarshal(orig, &sf); err != nil {
-			t.Fatal(err)
-		}
-		mutate(&sf)
-		b, _ := json.Marshal(sf)
-		os.WriteFile(path, b, 0o644)
-		svc := solver.NewService(solver.ServiceConfig{})
-		n, err := s.LoadSolverCacheInto(svc)
-		if n != 0 || svc.UnsatLen() != 0 {
-			t.Fatalf("corrupted cache admitted %d entries (UnsatLen %d)", n, svc.UnsatLen())
-		}
-		return err
-	}
-
-	// Tampered entry: checksum catches it.
-	if err := corrupt(func(sf *solverFile) { sf.Entries[0].Lo++ }); err == nil ||
-		!strings.Contains(err.Error(), "checksum") {
-		t.Fatalf("tampered entries: %v", err)
-	}
-	// Canonical-form algorithm changed: keys may no longer mean the same.
-	if err := corrupt(func(sf *solverFile) { sf.Canon++ }); err == nil ||
-		!strings.Contains(err.Error(), "canon") {
-		t.Fatalf("canon mismatch: %v", err)
-	}
-	// Different store schema version.
-	if err := corrupt(func(sf *solverFile) { sf.Version++ }); err == nil ||
-		!strings.Contains(err.Error(), "version") {
-		t.Fatalf("version mismatch: %v", err)
-	}
-	// Not JSON at all.
-	os.WriteFile(path, []byte("}{"), 0o644)
-	if n, err := s.LoadSolverCacheInto(solver.NewService(solver.ServiceConfig{})); err == nil || n != 0 {
-		t.Fatalf("garbage cache: n=%d err=%v", n, err)
 	}
 }

@@ -105,7 +105,7 @@ func TestBug2NeedsMultipleRanks(t *testing.T) {
 
 func TestBug3PloopSegfault(t *testing.T) {
 	params := Fixes{RHMC: true, Congrad: true, DivZero: true}.Params() // only bug 3 live
-	res := launch(t, 4, DefaultInputs(), params) // nsrc=3 >= 2, measurement runs
+	res := launch(t, 4, DefaultInputs(), params)                       // nsrc=3 >= 2, measurement runs
 	fe, bad := res.FirstError()
 	if !bad || fe.Status != mpi.StatusCrash {
 		t.Fatalf("bug 3 did not crash: %+v", fe)

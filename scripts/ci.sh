@@ -12,6 +12,14 @@ go build ./...
 echo "== go vet ./... =="
 go vet ./...
 
+echo "== gofmt -l . =="
+UNFORMATTED="$(gofmt -l .)"
+if [ -n "$UNFORMATTED" ]; then
+  echo "files not gofmt-clean:" >&2
+  echo "$UNFORMATTED" >&2
+  exit 1
+fi
+
 echo "== go build compi-target =="
 BIN_DIR="$(mktemp -d)"
 trap 'rm -rf "$BIN_DIR"' EXIT
@@ -54,6 +62,11 @@ go test -race ./internal/target/...
 echo "== go test -race ./internal/solver ./internal/sched ./internal/coverage ./internal/store =="
 go test -race ./internal/solver ./internal/sched ./internal/coverage ./internal/store
 
+echo "== go test -race -count=10 (solver service compile cache) =="
+# A sched batch shares one solver service, and with it the compile cache,
+# between its workers.
+go test -race -count=10 ./internal/solver -run 'TestServiceConcurrent'
+
 echo "== go test -race ./internal/binstat ./internal/expr =="
 # The profiler's concurrent bin updates and the canonical-key memo are both
 # lock-striped hot paths; the race detector is the test that matters.
@@ -89,7 +102,7 @@ if ! diff <(grep -E '^(iterations|covered|solver calls|error kinds)' "$STATE_DIR
   exit 1
 fi
 "$BIN_DIR/compi" sched -targets skeleton -seeds 3,4 -iters 60 -state-dir "$STATE_DIR/store" > /dev/null
-"$BIN_DIR/compi" store -dir "$STATE_DIR/store" | grep -q 'solver cache' || {
+"$BIN_DIR/compi" store -dir "$STATE_DIR/store" | grep -q '^campaigns 2$' || {
   echo "compi store could not read back the state dir" >&2; exit 1; }
 go test ./internal/sched -run 'TestStoreBatchResumeEqualsFresh|TestStoreCrossBatchReuse|TestStoreWriteFailuresSurface' -count=1
 rm -rf "$STATE_DIR"
@@ -238,17 +251,17 @@ go -C bench test .
 # prints every metric's delta against the previous CI run.
 go build -o "$BIN_DIR/compi-bench" ./cmd/compi-bench
 
-echo "== benchmarks (sched speedup, solver cache, warm resume, fleet merge delta) =="
-go test -run '^$' \
-  -bench 'BenchmarkSchedSpeedup|BenchmarkSolverCache|BenchmarkWarmResume|BenchmarkFleetMergeDelta' \
+echo "== benchmarks (sched speedup, fleet merge delta) =="
+go test -run '^$' -bench 'BenchmarkSchedSpeedup|BenchmarkFleetMergeDelta' \
   -benchtime 5x . | "$BIN_DIR/compi-bench" -out BENCH_fleet.json
 echo "wrote BENCH_fleet.json"
 
 echo "== engine throughput trajectory (BENCH_engine.json) =="
 # Iterations per second per core on the paper's two headline targets, with
 # profiling off and on (the pair doubles as the disabled-profiler overhead
-# pin), plus the 150-iteration SUSY-HMC campaign that runs past the DFS phase.
-go test -run '^$' -bench 'BenchmarkEngine' -benchtime 5x . \
+# pin), plus the 150-iteration SUSY-HMC campaign that runs past the DFS phase
+# and the live-solve layer benchmark replaying that campaign's solver calls.
+go test -run '^$' -bench 'BenchmarkEngine|BenchmarkSolveIncremental' -benchtime 5x . \
   | "$BIN_DIR/compi-bench" -out BENCH_engine.json
 echo "wrote BENCH_engine.json"
 
