@@ -289,6 +289,7 @@ func benchQueryStore(b *testing.B, campaigns int) *store.Store {
 	if err != nil {
 		b.Fatal(err)
 	}
+	man := &store.BatchManifest{ID: "bench"}
 	for i := 0; i < campaigns; i++ {
 		var bits []conc.BranchBit
 		for j := 0; j < 200+i; j++ {
@@ -308,10 +309,11 @@ func benchQueryStore(b *testing.B, campaigns int) *store.Store {
 		if err := st.SaveCampaign(name, snap); err != nil {
 			b.Fatal(err)
 		}
-		if err := st.MarkExplored(fmt.Sprintf("key-%03d", i),
-			store.SetupRecord{Campaign: name, Iters: snap.Iters, Batch: "bench"}); err != nil {
-			b.Fatal(err)
-		}
+		man.Entries = append(man.Entries, store.BatchEntry{Label: name, Key: fmt.Sprintf("key-%03d", i),
+			Status: store.StatusDone, Campaign: name, Iters: snap.Iters})
+	}
+	if err := st.SaveBatch(man); err != nil {
+		b.Fatal(err)
 	}
 	if _, err := st.Reindex(); err != nil {
 		b.Fatal(err)

@@ -87,7 +87,7 @@ func (m *storeMode) Run(args []string) int {
 		Version   int            `json:"version"`
 		Campaigns []campaignInfo `json:"campaigns"`
 		Batches   []batchInfo    `json:"batches"`
-		Setups    int            `json:"setups"`
+		Setups    int            `json:"setups"` // campaign index entries
 	}
 	inv := inventory{Dir: st.Dir(), Version: store.Version}
 
@@ -112,9 +112,8 @@ func (m *storeMode) Run(args []string) int {
 		}
 		inv.Batches = append(inv.Batches, bi)
 	}
-	if setups, err := st.Setups(); err == nil {
-		inv.Setups = len(setups)
-	}
+	entries, indexErr := st.Index()
+	inv.Setups = len(entries)
 
 	if *m.jsonOut {
 		enc := json.NewEncoder(os.Stdout)
@@ -138,14 +137,19 @@ func (m *storeMode) Run(args []string) int {
 		}
 		fmt.Println()
 	}
-	fmt.Printf("setup index %d entries\n", inv.Setups)
+	if indexErr != nil {
+		fmt.Printf("campaign index unreadable: %v\n", indexErr)
+	} else {
+		fmt.Printf("campaign index %d entries\n", inv.Setups)
+	}
 	return 0
 }
 
 // runCompact implements `compi store compact`: drop campaign snapshots
 // superseded by further-progressed runs of the same setup, redirecting batch
 // manifests to the surviving files. Resume behaviour is unchanged — the
-// setup index, which the resume path reads, always references the file kept.
+// campaign index and every interrupted campaign's own file, which the resume
+// path reads, are kept.
 func (m *storeMode) runCompact(args []string) int {
 	fs := newFlagSet("store compact")
 	dir := fs.String("dir", "", "campaign store directory (required)")
@@ -192,8 +196,9 @@ func (m *storeMode) runMinimize(args []string) int {
 }
 
 // runReindex implements `compi store reindex`: rebuild index.json from the
-// setup index and the campaign snapshots — the recovery path for a corrupted
-// index and the upgrade path for stores written before the index existed.
+// batch manifests and the campaign snapshots — the recovery path for a
+// corrupted index and the upgrade path for stores written before the index
+// existed.
 func (m *storeMode) runReindex(args []string) int {
 	fs := newFlagSet("store reindex")
 	dir := fs.String("dir", "", "campaign store directory (required)")

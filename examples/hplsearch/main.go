@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/coverage"
 	"repro/internal/target"
 	_ "repro/internal/targets/hpl"
 )
@@ -20,17 +21,16 @@ import (
 func main() {
 	prog, _ := target.Lookup("hpl")
 
-	run := func(label string, strat func(e *core.Engine) core.Strategy) {
-		eng := core.NewEngine(core.Config{
-			Program:    prog,
-			Iterations: 300,
-			Reduction:  true,
-			Framework:  true,
-			Seed:       11,
-			RunTimeout: 30 * time.Second,
-		})
-		eng.SetStrategy(strat(eng))
-		res := eng.Run()
+	run := func(label string, strat func(prog *target.Program, cov *coverage.Tracker) core.Strategy) {
+		res := core.NewEngine(core.Config{
+			Program:     prog,
+			NewStrategy: strat,
+			Iterations:  300,
+			Reduction:   true,
+			Framework:   true,
+			Seed:        11,
+			RunTimeout:  30 * time.Second,
+		}).Run()
 		_, reachedSolver := res.Coverage.Funcs()["pdgesv"]
 		verdict := "stuck in the sanity check"
 		if reachedSolver {
@@ -40,19 +40,17 @@ func main() {
 			label, res.Coverage.Count(), verdict)
 	}
 
-	run("bounded-dfs (default)", func(e *core.Engine) core.Strategy {
+	run("bounded-dfs (default)", func(*target.Program, *coverage.Tracker) core.Strategy {
 		return core.NewBoundedDFS(core.Unbounded)
 	})
-	run("bounded-dfs (bound 100)", func(e *core.Engine) core.Strategy {
+	run("bounded-dfs (bound 100)", func(*target.Program, *coverage.Tracker) core.Strategy {
 		return core.NewBoundedDFS(100)
 	})
-	run("random-branch", func(e *core.Engine) core.Strategy {
+	run("random-branch", func(*target.Program, *coverage.Tracker) core.Strategy {
 		return core.NewRandomBranch(11)
 	})
-	run("uniform-random", func(e *core.Engine) core.Strategy {
+	run("uniform-random", func(*target.Program, *coverage.Tracker) core.Strategy {
 		return core.NewUniformRandom(11)
 	})
-	run("cfg-directed", func(e *core.Engine) core.Strategy {
-		return core.NewCFG(prog, e.Coverage())
-	})
+	run("cfg-directed", core.NewCFG)
 }

@@ -19,14 +19,13 @@ import (
 
 // Config parameterizes a testing campaign.
 type Config struct {
-	Program  *target.Program
-	Strategy Strategy // nil selects COMPI's default two-phase DFS
+	Program *target.Program
 
 	// NewStrategy, when non-nil, constructs the search strategy against the
-	// engine's own program and live coverage tracker and takes precedence
-	// over Strategy. Strategies are stateful, so a Config that is reused
-	// across several engines (the scheduler's determinism contract) must
-	// use a factory rather than sharing one Strategy value.
+	// engine's own program and live coverage tracker; nil selects COMPI's
+	// default two-phase DFS. Strategies are stateful, so each engine builds
+	// its own: a Config reused across several engines (the scheduler's
+	// determinism contract) never shares one strategy value.
 	NewStrategy func(prog *target.Program, cov *coverage.Tracker) Strategy
 
 	// Params is the campaign parameter bag: concrete per-campaign target
@@ -96,7 +95,7 @@ type Config struct {
 	// requests instead of a private per-campaign solver.Service. Unlike a
 	// Backend, a SolverService may be shared by many engines — the
 	// scheduler wires one Service across a whole batch so sharded
-	// campaigns reuse each other's SAT/UNSAT results. Because a service
+	// campaigns reuse each other's compiled predicates. Because a service
 	// must return exactly what a live solve would (see SolverService),
 	// sharing never changes a campaign's trajectory.
 	Solver SolverService
@@ -132,8 +131,9 @@ type Config struct {
 	// every CheckpointEvery-th iteration (default: every iteration). The
 	// engine calls it synchronously from the campaign loop between
 	// iterations, so the callback always sees a quiescent engine. The
-	// campaign store wires this to persist the campaign as it runs: a
-	// killed process loses at most the in-flight iteration.
+	// campaign store wires this to persist the campaign as it runs, and a
+	// rerun resumes from the last snapshot saved: a killed process loses at
+	// most the iterations since it.
 	Checkpoint      func(*Snapshot)
 	CheckpointEvery int
 }
@@ -369,15 +369,12 @@ func NewEngine(cfg Config) *Engine {
 	e.solver = cfg.Solver
 	if e.solver == nil {
 		// The private default service shares the campaign profiler, so its
-		// canonical-key and live-solve bins land in the same report.
+		// live-solve bin lands in the same report.
 		e.solver = solver.NewService(solver.ServiceConfig{Profiler: cfg.Profiler})
 	}
-	switch {
-	case cfg.NewStrategy != nil:
+	if cfg.NewStrategy != nil {
 		e.strategy = cfg.NewStrategy(cfg.Program, e.cov)
-	case cfg.Strategy != nil:
-		e.strategy = cfg.Strategy
-	default:
+	} else {
 		e.strategy = NewTwoPhase(cfg.DFSPhase, cfg.DepthBound)
 	}
 	return e
@@ -385,17 +382,6 @@ func NewEngine(cfg Config) *Engine {
 
 // Coverage exposes the live tracker (the CFG strategy consults it).
 func (e *Engine) Coverage() *coverage.Tracker { return e.cov }
-
-// SetStrategy replaces the search strategy before the campaign starts. It
-// panics once Run has begun: the strategy is campaign state, and swapping it
-// mid-run from another goroutine would race with the engine. Prefer
-// Config.NewStrategy, which also survives engine re-construction.
-func (e *Engine) SetStrategy(s Strategy) {
-	if e.started.Load() {
-		panic("core: SetStrategy after Run started")
-	}
-	e.strategy = s
-}
 
 // Run executes the campaign and returns its result. On a restored engine it
 // continues from the snapshot's global iteration count, and the Result spans

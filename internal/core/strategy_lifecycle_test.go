@@ -8,45 +8,6 @@ import (
 	"repro/internal/target"
 )
 
-// TestSetStrategyBeforeRun verifies the legal window: a strategy swapped in
-// before Run drives the campaign.
-func TestSetStrategyBeforeRun(t *testing.T) {
-	eng := NewEngine(Config{
-		Program:    skeletonProg(t),
-		Iterations: 10,
-		Reduction:  true,
-		Framework:  true,
-		Seed:       1,
-		RunTimeout: 5 * time.Second,
-	})
-	eng.SetStrategy(NewTwoPhase(0, Unbounded))
-	res := eng.Run()
-	if len(res.Iterations) != 10 {
-		t.Fatalf("ran %d/10 iterations", len(res.Iterations))
-	}
-}
-
-// TestSetStrategyAfterRunPanics is the regression test for the old behavior
-// where SetStrategy silently rewrote engine config mid-campaign: swapping
-// the strategy once Run has started must panic.
-func TestSetStrategyAfterRunPanics(t *testing.T) {
-	eng := NewEngine(Config{
-		Program:    skeletonProg(t),
-		Iterations: 2,
-		Reduction:  true,
-		Framework:  true,
-		Seed:       1,
-		RunTimeout: 5 * time.Second,
-	})
-	eng.Run()
-	defer func() {
-		if recover() == nil {
-			t.Fatal("SetStrategy after Run did not panic")
-		}
-	}()
-	eng.SetStrategy(NewTwoPhase(0, Unbounded))
-}
-
 // TestNewStrategyFactoryPerEngine checks the factory path: each NewEngine
 // call gets a fresh strategy built against its own live tracker, so running
 // the same Config twice cannot share stateful strategy internals.
@@ -73,7 +34,7 @@ func TestNewStrategyFactoryPerEngine(t *testing.T) {
 
 // TestConfigNotMutatedByEngine guards the scheduler's reuse of Config
 // values: constructing and running an engine must leave the caller's Config
-// (including its Strategy field) untouched.
+// untouched.
 func TestConfigNotMutatedByEngine(t *testing.T) {
 	cfg := Config{
 		Program:    skeletonProg(t),
@@ -83,12 +44,7 @@ func TestConfigNotMutatedByEngine(t *testing.T) {
 		Seed:       1,
 		RunTimeout: 5 * time.Second,
 	}
-	eng := NewEngine(cfg)
-	eng.SetStrategy(NewTwoPhase(0, Unbounded))
-	eng.Run()
-	if cfg.Strategy != nil {
-		t.Fatal("SetStrategy leaked into the caller's Config")
-	}
+	NewEngine(cfg).Run()
 	if cfg.Iterations != 3 || cfg.Seed != 1 {
 		t.Fatalf("engine mutated caller Config: %+v", cfg)
 	}

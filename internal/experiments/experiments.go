@@ -55,7 +55,7 @@ type Scale struct {
 }
 
 // storeCache keeps one open Store per directory, so every driver of an
-// experiment run shares the same setup-index lock.
+// experiment run shares the same store lock.
 var storeCache = map[string]*store.Store{}
 
 // runBatch runs the fan-out drivers' campaigns through sched.Run under the

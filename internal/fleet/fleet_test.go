@@ -352,8 +352,8 @@ func TestFleetStoreResumeAndReuse(t *testing.T) {
 	}
 }
 
-// TestFleetStoreWriteFailure: a directory where setups.json belongs fails
-// every setup-index write. The fleet reports the failures in the report's
+// TestFleetStoreWriteFailure: a directory where index.json belongs fails
+// every campaign index write. The fleet reports the failures in the report's
 // StoreErr and still returns the results a storeless sched.Run computes.
 func TestFleetStoreWriteFailure(t *testing.T) {
 	if testing.Short() {
@@ -368,14 +368,14 @@ func TestFleetStoreWriteFailure(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st.Close()
-	if err := os.Mkdir(filepath.Join(dir, "setups.json"), 0o755); err != nil {
+	if err := os.Mkdir(filepath.Join(dir, "index.json"), 0o755); err != nil {
 		t.Fatal(err)
 	}
 	c, addr := startFleet(t, fleetSpecs(iters), fleet.Options{Store: st})
 	workInProcess(t, addr, 2)
 	rep := c.Wait()
-	if rep.StoreErr == nil || !strings.Contains(rep.StoreErr.Error(), "setups.json") {
-		t.Fatalf("StoreErr = %v, want the failed setup-index writes", rep.StoreErr)
+	if rep.StoreErr == nil || !strings.Contains(rep.StoreErr.Error(), "index.json") {
+		t.Fatalf("StoreErr = %v, want the failed index writes", rep.StoreErr)
 	}
 	for _, camp := range rep.Campaigns {
 		if camp.Err != nil {

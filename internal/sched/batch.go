@@ -19,18 +19,19 @@ import (
 // coordinator drives it as it grants, checkpoints, completes, fails and
 // reclaims leases. Per campaign:
 //
-//  1. Start looks the spec's canonical setup key up in the store's setup
-//     index. A stored exploration that already covers the requested
-//     iterations is *reused*: the Result is rebuilt from the snapshot and no
-//     engine runs. A shorter one is returned as the *resume* snapshot; by the
-//     snapshot determinism contract, restoring it and running the remaining
-//     iterations equals running the whole campaign at once.
-//  2. Checkpoint saves the running campaign's snapshot, so a killed batch
-//     loses at most the iterations since the last checkpoint.
+//  1. Start loads the further of two stored snapshots of the spec's
+//     canonical setup: the one the store's campaign index names, and the
+//     campaign's own file, where its checkpoints land. One that already
+//     covers the requested iterations is *reused*: the Result is rebuilt from
+//     the snapshot and no engine runs. A shorter one is returned as the
+//     *resume* snapshot; by the snapshot determinism contract, restoring it
+//     and running the remaining iterations equals running the whole campaign
+//     at once.
+//  2. Checkpoint saves the running campaign's snapshot to its own file, so a
+//     killed batch loses at most the iterations since the last checkpoint.
 //  3. Finish saves the final snapshot and, only once that write succeeded,
-//     records the setup in the setup index and the campaign index. Fail
-//     records a spec error; Requeue returns a reclaimed lease's campaign to
-//     pending.
+//     records the campaign in the campaign index. Fail records a spec error;
+//     Requeue returns a reclaimed lease's campaign to pending.
 //
 // Re-running the same batch therefore reattaches every finished campaign and
 // continues every interrupted one. A failed store write never changes a
@@ -50,15 +51,14 @@ type Batch struct {
 }
 
 // SetupKey returns the canonical setup key of a spec, or ok=false when the
-// spec is not persistable: live Overrides the key cannot name (a custom
-// Strategy or strategy factory, a caller-owned Backend) explore a trajectory
-// the store cannot promise to reproduce. The key itself is
-// spec.Campaign.Canonical — one definition shared by the store index and the
-// batch manifests, so a fleet store and a sched store dedup against each
-// other.
+// spec is not persistable: live Overrides the key cannot name (a strategy
+// factory, a caller-owned Backend) explore a trajectory the store cannot
+// promise to reproduce. The key itself is spec.Campaign.Canonical — one
+// definition shared by the store index and the batch manifests, so a fleet
+// store and a sched store dedup against each other.
 func SetupKey(sp Spec) (string, bool) {
 	o := sp.Overrides
-	if o.Strategy != nil || o.NewStrategy != nil || o.Backend != nil {
+	if o.NewStrategy != nil || o.Backend != nil {
 		return "", false
 	}
 	c := sp.Campaign
@@ -141,32 +141,44 @@ func (b *Batch) Start(i int) (snap *core.Snapshot, reused bool) {
 	if !b.persisted(i) {
 		return nil, false
 	}
-	c, key := &b.camps[i], b.keys[i]
-	if rec, ok := b.st.Explored(key); ok {
-		if s, err := b.st.LoadCampaign(rec.Campaign); err == nil {
-			want := c.Spec.Iterations
-			if want == 0 {
-				want = 100 // core.Config's default budget
-			}
-			if c.Spec.TimeBudget == 0 && s.Iters >= want {
-				c.Result, c.Reused = s.Result(), true
-				// Upsert the campaign index even on reuse: it heals stores
-				// written before the index existed without a manual Reindex,
-				// and is idempotent otherwise (the entry derives from the
-				// same snapshot).
-				b.keep(c.Label, b.st.IndexCampaign(key, rec, s))
-				b.update(i, func(e *store.BatchEntry) {
-					e.Status, e.Campaign, e.Iters = store.StatusReused, rec.Campaign, s.Iters
-				})
-				return s, true
-			}
-			snap = s
-		}
+	c := &b.camps[i]
+	snap, file := b.stored(i)
+	want := c.Spec.Iterations
+	if want == 0 {
+		want = 100 // core.Config's default budget
+	}
+	if snap != nil && c.Spec.TimeBudget == 0 && snap.Iters >= want {
+		c.Result, c.Reused = snap.Result(), true
+		b.update(i, func(e *store.BatchEntry) {
+			e.Status, e.Campaign, e.Iters = store.StatusReused, file, snap.Iters
+		})
+		return snap, true
 	}
 	b.update(i, func(e *store.BatchEntry) {
 		e.Status, e.Campaign = store.StatusRunning, b.name(i)
 	})
 	return snap, false
+}
+
+// stored returns the further of campaign i's two stored snapshots and the
+// file it came from: the one the campaign index names for the setup (which
+// wins a tie), and the campaign's own file, which holds its last checkpoint
+// when an earlier run of it was killed. Either may be missing.
+func (b *Batch) stored(i int) (snap *core.Snapshot, file string) {
+	files := []string{b.name(i)}
+	entries, _ := b.st.Index()
+	for _, e := range entries {
+		if e.Key == b.keys[i] && e.Campaign != files[0] {
+			files = []string{e.Campaign, files[0]}
+			break
+		}
+	}
+	for _, f := range files {
+		if s, err := b.st.LoadCampaign(f); err == nil && (snap == nil || s.Iters > snap.Iters) {
+			snap, file = s, f
+		}
+	}
+	return snap, file
 }
 
 // Checkpoint saves campaign i's running snapshot.
@@ -178,29 +190,28 @@ func (b *Batch) Checkpoint(i int, snap *core.Snapshot) {
 
 // Finish resolves campaign i with its result. With a store, final is the
 // engine's last snapshot: it is saved, and only if that write succeeded is
-// the setup recorded in the setup index and then in the campaign index. The
-// manifest entry becomes done, or error with the failed write's message.
+// the campaign recorded in the campaign index. The manifest entry becomes
+// done, or error with the failed write's message.
 func (b *Batch) Finish(i int, res core.Result, final *core.Snapshot) {
 	c := &b.camps[i]
 	c.Result = res
 	if !b.persisted(i) {
 		return
 	}
-	name := b.name(i)
-	rec := store.SetupRecord{Campaign: name, Iters: final.Iters, Batch: b.man.ID}
-	err := b.st.SaveCampaign(name, final)
+	b.mu.Lock()
+	done := b.man.Entries[i]
+	b.mu.Unlock()
+	done.Status, done.Campaign, done.Iters = store.StatusDone, b.name(i), final.Iters
+	err := b.st.SaveCampaign(done.Campaign, final)
 	if err == nil {
-		err = b.st.MarkExplored(b.keys[i], rec)
-	}
-	if err == nil {
-		err = b.st.IndexCampaign(b.keys[i], rec, final)
+		err = b.st.IndexCampaign(b.man.ID, done, final)
 	}
 	b.keep(c.Label, err)
 	b.update(i, func(e *store.BatchEntry) {
 		if err != nil {
 			e.Status, e.Error = store.StatusError, err.Error()
 		} else {
-			e.Status, e.Iters = store.StatusDone, final.Iters
+			*e = done
 		}
 	})
 }

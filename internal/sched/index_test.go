@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -115,10 +116,12 @@ func TestReportIndexMatchesReplay(t *testing.T) {
 	}
 }
 
-// TestOldLayoutStoreOpensAndReindexes is the migration pin: a store written
-// without index.json (any pre-index store looks exactly like this) opens,
-// resumes unchanged, and the resume itself heals the index back to the bytes
-// a never-deleted index would hold.
+// TestOldLayoutStoreOpensAndReindexes is the migration pin: a store without
+// index.json but with the setups.json earlier versions kept (any store
+// written before the index existed, or before setups.json was dropped, looks
+// like this) opens and resumes unchanged. Resuming writes no index, Reindex
+// rebuilds the bytes a never-deleted index would hold, and setups.json is
+// left as it was.
 func TestOldLayoutStoreOpensAndReindexes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("campaign test")
@@ -133,11 +136,34 @@ func TestOldLayoutStoreOpensAndReindexes(t *testing.T) {
 	if err != nil {
 		t.Fatalf("batch completion left no index: %v", err)
 	}
+	entries, err := st.Index()
+	if err != nil || len(entries) != len(rep1.Campaigns) {
+		t.Fatalf("index: %d entries (err %v)", len(entries), err)
+	}
 	if err := os.Remove(indexPath); err != nil {
 		t.Fatal(err)
 	}
+	// setups.json as earlier versions wrote it: setup key → campaign file,
+	// iterations and batch, indented.
+	type setupRecord struct {
+		Campaign string `json:"campaign"`
+		Iters    int    `json:"iters"`
+		Batch    string `json:"batch,omitempty"`
+	}
+	setups := map[string]setupRecord{}
+	for _, e := range entries {
+		setups[e.Key] = setupRecord{Campaign: e.Campaign, Iters: e.Iters, Batch: e.Batch}
+	}
+	legacy, err := json.MarshalIndent(setups, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	legacy = append(legacy, '\n')
+	setupsPath := filepath.Join(st.Dir(), "setups.json")
+	if err := os.WriteFile(setupsPath, legacy, 0o644); err != nil {
+		t.Fatal(err)
+	}
 
-	// The old-layout store resumes exactly as before...
 	rep2 := Run(storeSpecs(n), Options{Workers: 2, Store: st})
 	for _, c := range rep2.Campaigns {
 		if c.Err != nil || !c.Reused {
@@ -147,23 +173,19 @@ func TestOldLayoutStoreOpensAndReindexes(t *testing.T) {
 	if !reflect.DeepEqual(fingerprintOf(rep2), want) {
 		t.Fatal("old-layout store resumed differently")
 	}
-	// ...and the reuse path healed the index to the exact pre-deletion bytes.
-	healed, err := os.ReadFile(indexPath)
-	if err != nil {
-		t.Fatalf("reuse did not rebuild the index: %v", err)
-	}
-	if string(healed) != string(orig) {
-		t.Fatal("healed index differs from the original")
+	if _, err := os.Stat(indexPath); !os.IsNotExist(err) {
+		t.Fatalf("a reuse pass wrote the index (stat err %v)", err)
 	}
 
-	// Explicit Reindex reproduces the same bytes too.
-	os.Remove(indexPath)
 	if _, err := st.Reindex(); err != nil {
 		t.Fatal(err)
 	}
 	rebuilt, _ := os.ReadFile(indexPath)
 	if string(rebuilt) != string(orig) {
-		t.Fatal("reindexed bytes differ from the incrementally built index")
+		t.Fatalf("reindexed bytes differ from the incrementally built index:\n%s\nvs\n%s", rebuilt, orig)
+	}
+	if b, err := os.ReadFile(setupsPath); err != nil || string(b) != string(legacy) {
+		t.Fatalf("setups.json was rewritten (err %v)", err)
 	}
 }
 

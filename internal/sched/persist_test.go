@@ -178,10 +178,11 @@ func TestStoreCrossBatchReuse(t *testing.T) {
 // TestStoreWriteFailuresSurface is the store fault pin. Spec 0's Checkpoint
 // hook replaces campaigns/ with a plain file after its 6th checkpoint, so
 // every later snapshot write fails. The batch must report the failures
-// without changing a result, record no setup, and mark every manifest entry
-// error. The store is then repaired, left with a torn write's temp file and a
-// truncated index: Reindex succeeds, and a rerun equals the uninterrupted run
-// with a full index.
+// without changing a result, write no index entry for the failed campaigns,
+// and mark every manifest entry error. The store is then repaired, left with
+// a torn write's temp file and a truncated index: Reindex succeeds, and a
+// rerun, which resumes spec 0 from its 6-iteration checkpoint, equals the
+// uninterrupted run with a full index.
 func TestStoreWriteFailuresSurface(t *testing.T) {
 	if testing.Short() {
 		t.Skip("campaign test")
@@ -211,8 +212,8 @@ func TestStoreWriteFailuresSurface(t *testing.T) {
 	if got := fingerprintOf(rep); !reflect.DeepEqual(got, want) {
 		t.Fatal("store write failures changed campaign results")
 	}
-	if setups, err := st.Setups(); err != nil || len(setups) != 0 {
-		t.Fatalf("setup index after failed writes: %v (err %v), want no record", setups, err)
+	if entries, err := st.Index(); err != nil || len(entries) != 0 {
+		t.Fatalf("index after failed writes: %+v (err %v), want no entry", entries, err)
 	}
 	man, err := st.LoadBatch(rep.BatchID)
 	if err != nil || man == nil {
@@ -246,12 +247,18 @@ func TestStoreWriteFailuresSurface(t *testing.T) {
 		t.Fatalf("reindex after repair: %v", err)
 	}
 
-	rep2 := Run(storeSpecs(n), Options{Workers: 1, Store: st})
+	ran := map[string]int{}
+	rep2 := Run(storeSpecs(n), Options{Workers: 1, Store: st, Trace: func(label string, _ core.IterationStat) {
+		ran[label]++
+	}})
 	if rep2.StoreErr != nil {
 		t.Fatalf("rerun on the repaired store: %v", rep2.StoreErr)
 	}
 	if got := fingerprintOf(rep2); !reflect.DeepEqual(got, want) {
 		t.Fatal("rerun on the repaired store differs from the uninterrupted run")
+	}
+	if got := ran[specs[0].label()]; got != n-6 {
+		t.Fatalf("rerun ran %d iterations of %s, want %d (resumed from its 6th checkpoint)", got, specs[0].label(), n-6)
 	}
 	entries, err := st.Index()
 	if err != nil || len(entries) != len(specs) {

@@ -10,10 +10,9 @@
 // target, and one deduplicated error log.
 //
 // Determinism contract: each campaign's Result depends only on its Spec,
-// never on scheduling order or worker count. Specs that need a non-default
-// search strategy must use Config.NewStrategy (a factory) rather than
-// Config.Strategy, so re-running a spec list never reuses a stateful
-// strategy value.
+// never on scheduling order or worker count. A spec that needs a live search
+// strategy passes a factory (Overrides.NewStrategy), so re-running a spec
+// list never reuses a stateful strategy value.
 package sched
 
 import (
@@ -294,8 +293,9 @@ type Options struct {
 	// Store, when non-nil, makes the batch durable: campaign snapshots are
 	// checkpointed into the store as they run, a batch manifest tracks
 	// progress, campaign index entries are written at each completion, and
-	// specs whose canonical setup a prior batch already explored are
-	// resumed or reattached instead of re-run (see Batch). Campaigns
+	// specs whose canonical setup a prior batch already explored, or whose
+	// own earlier run was killed, are resumed or reattached instead of re-run
+	// (see Batch). Campaigns
 	// checkpoint every iteration. Determinism is unaffected: resumed and
 	// reattached results are identical to freshly computed ones. Failed
 	// writes are reported in Report.StoreErr.

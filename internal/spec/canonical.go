@@ -12,7 +12,7 @@ import (
 
 // canonicalState is the canonical initial state a campaign's exploration is
 // determined by — the JSON-marshal of this struct, hashed, is the one setup
-// key the store's setup index, batch manifests, and the fleet coordinator
+// key the store's campaign index, batch manifests, and the fleet coordinator
 // all agree on. Iterations and TimeBudget are deliberately excluded: they
 // say how *long* to explore, not *what* — a 50-iteration run is a prefix of
 // the 100-iteration run of the same state, which is exactly what lets a

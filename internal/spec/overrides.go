@@ -20,10 +20,9 @@ type Overrides struct {
 	// one built from a manifest file).
 	Program *target.Program
 
-	// Strategy and NewStrategy override the campaign's named strategy with
-	// a live value or factory. Specs reused across engines must use the
-	// factory (strategies are stateful).
-	Strategy    core.Strategy
+	// NewStrategy overrides the campaign's named strategy with a live
+	// factory; each engine builds its own strategy (strategies are
+	// stateful).
 	NewStrategy func(prog *target.Program, cov *coverage.Tracker) core.Strategy
 
 	// Backend executes iterations out of process; it carries session state
@@ -50,7 +49,6 @@ func (o Overrides) Live() (string, bool) {
 		field   string
 		present bool
 	}{
-		{"Config.Strategy", o.Strategy != nil},
 		{"Config.NewStrategy", o.NewStrategy != nil},
 		{"Config.Backend", o.Backend != nil},
 		{"Config.Solver", o.Solver != nil},
@@ -71,9 +69,6 @@ func (o Overrides) Live() (string, bool) {
 func (o Overrides) Apply(cfg *core.Config) {
 	if o.Program != nil {
 		cfg.Program = o.Program
-	}
-	if o.Strategy != nil {
-		cfg.Strategy = o.Strategy
 	}
 	if o.NewStrategy != nil {
 		cfg.NewStrategy = o.NewStrategy

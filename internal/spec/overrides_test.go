@@ -39,7 +39,6 @@ func TestPortableRefusalText(t *testing.T) {
 		field string
 		set   func(*spec.Overrides)
 	}{
-		{"Config.Strategy", func(o *spec.Overrides) { o.Strategy = core.NewBoundedDFS(4) }},
 		{"Config.NewStrategy", func(o *spec.Overrides) {
 			o.NewStrategy = func(*target.Program, *coverage.Tracker) core.Strategy { return nil }
 		}},

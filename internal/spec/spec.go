@@ -1,7 +1,7 @@
 // Package spec defines the one canonical campaign description: a data-only,
 // JSON-serializable, schema-versioned Campaign every layer of the system
 // agrees on. The scheduler runs it (plus live Overrides), the fleet ships it
-// verbatim in lease frames, the store keys its setup index and batch
+// verbatim in lease frames, the store keys its campaign index and batch
 // manifests by its Canonical() hash, the CLI's shared FlagBinder builds it,
 // and replay records round-trip through it — so "reproduce exactly this
 // campaign" is one JSON blob, not four parallel structs kept in sync by

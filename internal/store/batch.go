@@ -3,7 +3,6 @@ package store
 import (
 	"encoding/json"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -13,15 +12,16 @@ import (
 )
 
 // Batch entry statuses. A batch whose process was killed leaves entries in
-// StatusRunning; the campaign snapshot on disk (written every checkpoint)
-// is the authoritative resume point, so at most the in-flight iteration is
-// lost.
+// StatusRunning. The campaign's own snapshot file, which every checkpoint
+// overwrites, is then its resume point: rerunning the batch resumes from it
+// (or from the index's snapshot of the setup, when that got further), so a
+// killed batch loses only the iterations since its last checkpoint.
 const (
 	StatusPending = "pending"
 	StatusRunning = "running"
 	StatusDone    = "done"
-	StatusReused  = "reused" // answered from a prior batch's campaign
-	StatusError   = "error"  // spec error (unknown target etc.)
+	StatusReused  = "reused" // answered from a stored campaign
+	StatusError   = "error"  // spec error, or a failed completion write
 )
 
 // BatchEntry is one campaign of a scheduler batch.
@@ -45,7 +45,8 @@ type BatchEntry struct {
 // BatchManifest records a scheduler batch: which campaigns it contains and
 // how far each has come. sched.Batch writes it, for sched.Run and the fleet
 // coordinator alike, when a store is attached; re-running the batch resumes
-// from it and the setup index.
+// every campaign from its own checkpoint file or the campaign index's, and
+// Reindex rebuilds the index from the manifests' done and reused entries.
 type BatchManifest struct {
 	ID      string       `json:"id"`
 	Entries []BatchEntry `json:"entries"`
@@ -89,71 +90,4 @@ func (s *Store) Batches() ([]string, error) {
 	}
 	sort.Strings(ids)
 	return ids, nil
-}
-
-// SetupRecord locates the stored exploration of one canonical campaign
-// setup: which campaign file holds it, how many iterations it has run, and
-// which batch ran it.
-type SetupRecord struct {
-	Campaign string `json:"campaign"`
-	Iters    int    `json:"iters"`
-	Batch    string `json:"batch,omitempty"`
-}
-
-// setupsPath is the setup index file.
-func (s *Store) setupsPath() string { return filepath.Join(s.dir, "setups.json") }
-
-func (s *Store) readSetups() (map[string]SetupRecord, error) {
-	b, err := os.ReadFile(s.setupsPath())
-	if os.IsNotExist(err) {
-		return map[string]SetupRecord{}, nil
-	}
-	if err != nil {
-		return nil, err
-	}
-	var m map[string]SetupRecord
-	if err := json.Unmarshal(b, &m); err != nil {
-		return nil, fmt.Errorf("store: setup index: %w", err)
-	}
-	if m == nil {
-		m = map[string]SetupRecord{}
-	}
-	return m, nil
-}
-
-// MarkExplored records (read-modify-write) that the canonical setup key has
-// been explored up to rec.Iters in rec.Campaign. Later batches consult this
-// through Explored to skip or resume identical setups.
-func (s *Store) MarkExplored(key string, rec SetupRecord) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	m, err := s.readSetups()
-	if err != nil {
-		return err
-	}
-	m[key] = rec
-	return WriteAtomic(s.setupsPath(), func(w io.Writer) error {
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		return enc.Encode(m)
-	})
-}
-
-// Explored looks up a canonical setup key in the index.
-func (s *Store) Explored(key string) (SetupRecord, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	m, err := s.readSetups()
-	if err != nil {
-		return SetupRecord{}, false
-	}
-	rec, ok := m[key]
-	return rec, ok
-}
-
-// Setups returns a copy of the whole setup index.
-func (s *Store) Setups() (map[string]SetupRecord, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.readSetups()
 }

@@ -15,48 +15,48 @@ type CompactStats struct {
 	// Kept is the number of campaign files retained.
 	Kept int
 	// Rewritten is the number of batch manifest entries redirected to the
-	// setup index's authoritative campaign file.
+	// campaign index's authoritative campaign file.
 	Rewritten int
 }
 
 // Compact drops superseded campaign snapshot files. A snapshot is superseded
-// when the setup index points the same canonical setup at a different,
+// when the campaign index points the same canonical setup at a different,
 // at-least-as-far-explored campaign file — which happens whenever a later
 // batch resumes a setup under a different label: the longer snapshot is saved
 // under the new label's file and the index moves, leaving the old file as
 // dead weight.
 //
-// The setup index is the resume path's single source of truth
-// (sched.Batch.Start loads snapshots only through Explored), so compaction
-// keeps exactly what resume can reach: every index-referenced file survives,
-// batch manifest entries pointing at a superseded file are rewritten to the
-// index's authoritative file (so `compi store` inspection stays consistent),
-// and only then are unreferenced files removed. Resuming after a Compact therefore
-// reads the same snapshots as resuming before it — the equality the store
-// test suite pins.
+// Compaction keeps exactly what resume can reach (sched.Batch.Start reads the
+// index's file for a setup and the campaign's own file). Every file the index
+// names survives. So does the file of every manifest entry that is neither
+// done nor reused: it is an interrupted campaign's checkpoint, the point its
+// batch resumes from. Done and reused entries pointing at a superseded file
+// are rewritten to the index's file (so `compi store` inspection stays
+// consistent, and the index is then rewritten from the manifests, as Reindex
+// would), and only then are unreferenced files removed. Resuming after a
+// Compact therefore reads the same snapshots as resuming before it — the
+// equality the store test suite pins. A missing or unreadable index is
+// rebuilt from the manifests first.
 func (s *Store) Compact() (CompactStats, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	var st CompactStats
 
-	setups, err := s.readSetups()
-	if err != nil {
-		return st, err
-	}
-	// iters of the index's file per campaign name, for the supersession check.
-	indexIters := map[string]int{}
-	referenced := map[string]bool{}
-	for _, rec := range setups {
-		if rec.Campaign != "" {
-			referenced[rec.Campaign] = true
-			if rec.Iters > indexIters[rec.Campaign] {
-				indexIters[rec.Campaign] = rec.Iters
-			}
+	entries, err := s.readIndexLocked()
+	if err != nil || entries == nil {
+		if entries, err = s.rebuildLocked(); err != nil {
+			return st, err
 		}
 	}
+	indexed := map[string]IndexEntry{}
+	referenced := map[string]bool{}
+	for _, e := range entries {
+		indexed[e.Key] = e
+		referenced[e.Campaign] = true
+	}
 
-	// Redirect batch entries whose file the index has superseded, then count
-	// whatever the manifests still reference as live.
+	// Redirect finished entries whose file the index has superseded, then
+	// count whatever the manifests still reference as live.
 	ids, err := s.Batches()
 	if err != nil {
 		return st, err
@@ -72,9 +72,10 @@ func (s *Store) Compact() (CompactStats, error) {
 			if e.Key == "" || e.Campaign == "" {
 				continue
 			}
-			rec, ok := setups[e.Key]
-			if ok && rec.Campaign != "" && rec.Campaign != e.Campaign && rec.Iters >= e.Iters {
-				e.Campaign = rec.Campaign
+			idx, ok := indexed[e.Key]
+			if ok && (e.Status == StatusDone || e.Status == StatusReused) &&
+				idx.Campaign != e.Campaign && idx.Iters >= e.Iters {
+				e.Campaign = idx.Campaign
 				st.Rewritten++
 				changed = true
 			}
@@ -84,6 +85,11 @@ func (s *Store) Compact() (CompactStats, error) {
 			if err := s.saveBatch(man); err != nil {
 				return st, err
 			}
+		}
+	}
+	if st.Rewritten > 0 {
+		if _, err := s.reindexLocked(); err != nil {
+			return st, err
 		}
 	}
 

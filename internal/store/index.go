@@ -16,20 +16,24 @@ import (
 )
 
 // This file is the campaign index: the store's queryable summary of every
-// persisted campaign, one entry per canonical setup key. The index is what
-// turns the store from a snapshot filer into a service — `compi report`
-// answers "which setups found error X", "coverage by target", and
-// "refutations by setup" from index.json alone, without replaying or even
-// loading a snapshot.
+// persisted campaign, one entry per canonical setup key, and its only setup
+// index. sched.Batch.Start reads it to find a stored exploration of a setup;
+// `compi report` answers "which setups found error X", "coverage by
+// target", and "refutations by setup" from index.json alone, without
+// replaying or even loading a snapshot.
 //
-// The index is derived data. Every entry is computed by one function
-// (deriveIndexEntry) from exactly three sources — the setup key, its
-// SetupRecord, and the campaign snapshot (params resolved from the batch
-// manifests) — whether the entry is written incrementally at campaign
-// completion (sched.Batch, for sched.Run and the fleet coordinator) or
-// rebuilt wholesale by Reindex. Incremental and rebuilt indexes are therefore byte-identical by
-// construction, which the store tests pin, and a lost or corrupted
-// index.json is never more than one Reindex away from recovery.
+// The index is derived data. An entry stands for one batch manifest entry
+// that finished the setup (done) or answered it from a stored campaign
+// (reused): better picks that manifest entry per key, and deriveIndexEntry
+// computes the index entry from it and its campaign snapshot. Both the
+// incremental writer (IndexCampaign, called by sched.Batch.Finish for
+// sched.Run and the fleet coordinator alike) and Reindex, which rebuilds the
+// file from the batch manifests, go through those two functions. An
+// incrementally maintained index therefore equals a rebuilt one byte for
+// byte (the store tests pin it), with one exception: when two batches
+// recorded the same campaign file at the same iterations, a rebuild may name
+// the other batch. A lost or corrupted index.json is never more than one
+// Reindex away from recovery.
 //
 // index.json is schema-versioned and checksummed: verification failure on
 // load reports a descriptive error and the reader falls back to Reindex
@@ -75,9 +79,9 @@ type IndexEntry struct {
 	UnsatContrib int `json:"unsatContrib,omitempty"`
 	RefutedSkips int `json:"refutedSkips,omitempty"`
 
-	// Params is the campaign parameter bag, resolved from the batch
-	// manifest that ran the setup (params are part of the canonical key,
-	// so any manifest entry with this key carries the same bag).
+	// Params is the campaign parameter bag, from the spec stamped on the
+	// manifest entry (params are part of the canonical key, so every
+	// manifest entry with this key carries the same bag).
 	Params map[string]int64 `json:"params,omitempty"`
 }
 
@@ -123,20 +127,48 @@ func CoverageFingerprint(covered []conc.BranchBit, funcs []string) string {
 
 func (s *Store) indexPath() string { return filepath.Join(s.dir, "index.json") }
 
-// deriveIndexEntry computes the index entry for one campaign. It is the
-// single derivation both the incremental writers and Reindex use.
-func deriveIndexEntry(key string, rec SetupRecord, snap *core.Snapshot, params map[string]int64) IndexEntry {
+// candidate is a batch manifest entry that can stand for its setup in the
+// index: one that finished the setup or reused a stored campaign of it.
+type candidate struct {
+	batch string
+	entry BatchEntry
+}
+
+// better reports whether a should stand for its setup in the index rather
+// than b: the entry recorded at more iterations, then the smaller campaign
+// name, then a finished entry before a reused one, then the smaller batch
+// ID. IndexCampaign and Reindex both choose with it.
+func better(a, b candidate) bool {
+	if a.entry.Iters != b.entry.Iters {
+		return a.entry.Iters > b.entry.Iters
+	}
+	if a.entry.Campaign != b.entry.Campaign {
+		return a.entry.Campaign < b.entry.Campaign
+	}
+	if ad, bd := a.entry.Status == StatusDone, b.entry.Status == StatusDone; ad != bd {
+		return ad
+	}
+	return a.batch < b.batch
+}
+
+// deriveIndexEntry computes the index entry a manifest entry stands for,
+// from the entry (key, campaign file, iterations, batch, params) and the
+// campaign's snapshot (everything else). It is the single derivation
+// IndexCampaign and Reindex use.
+func deriveIndexEntry(c candidate, snap *core.Snapshot) IndexEntry {
 	e := IndexEntry{
-		Key:          key,
+		Key:          c.entry.Key,
 		Target:       snap.Program,
-		Campaign:     rec.Campaign,
-		Batch:        rec.Batch,
-		Iters:        snap.Iters,
+		Campaign:     c.entry.Campaign,
+		Batch:        c.batch,
+		Iters:        c.entry.Iters,
 		Branches:     len(snap.Covered),
 		CoverageFP:   CoverageFingerprint(snap.Covered, snap.Funcs),
 		UnsatContrib: snap.Refutations,
 		RefutedSkips: snap.RefutedSkips,
-		Params:       params,
+	}
+	if sp := c.entry.Spec; sp != nil && len(sp.Params) > 0 {
+		e.Params = sp.Params
 	}
 	seen := map[IndexError]struct{}{}
 	for _, rec := range snap.Errors {
@@ -157,29 +189,6 @@ func deriveIndexEntry(key string, rec SetupRecord, snap *core.Snapshot, params m
 		return e.Errors[i].Status < e.Errors[j].Status
 	})
 	return e
-}
-
-// lookupParamsLocked resolves a setup key's campaign parameter bag from the
-// batch manifests. Params are hashed into the canonical key, so every
-// manifest entry with this key carries the same bag; scanning batch IDs in
-// sorted order just makes the (equal) answer deterministic.
-func (s *Store) lookupParamsLocked(key string) map[string]int64 {
-	ids, err := s.Batches()
-	if err != nil {
-		return nil
-	}
-	for _, id := range ids {
-		man, err := s.LoadBatch(id)
-		if err != nil || man == nil {
-			continue
-		}
-		for _, e := range man.Entries {
-			if e.Key == key && e.Spec != nil && len(e.Spec.Params) > 0 {
-				return e.Spec.Params
-			}
-		}
-	}
-	return nil
 }
 
 // readIndexLocked loads and verifies index.json. A missing file is
@@ -218,35 +227,49 @@ func (s *Store) writeIndexLocked(entries []IndexEntry) error {
 	})
 }
 
-// IndexCampaign upserts one campaign's index entry — the completion hook
-// sched.Batch calls right after MarkExplored succeeds. A
-// key the store cannot derive (empty: non-persistable spec) is a no-op. An
-// unreadable or corrupted index is rebuilt from scratch instead of patched,
-// so the incremental path can never propagate damage.
-func (s *Store) IndexCampaign(key string, rec SetupRecord, snap *core.Snapshot) error {
-	if key == "" {
+// IndexCampaign upserts the index entry of a campaign that just finished:
+// e is its completed manifest entry in batch, snap its final snapshot. The
+// entry replaces the setup's current one when it comes from the same
+// manifest entry, or when better ranks it first. A key the store cannot
+// derive (empty: non-persistable spec) is a no-op. A missing or unreadable
+// index is rebuilt from the manifests first, so an upsert never shrinks the
+// index, and so is one whose entry this campaign's file now holds fewer
+// iterations of, so the index never falls behind the manifests.
+func (s *Store) IndexCampaign(batch string, e BatchEntry, snap *core.Snapshot) error {
+	if e.Key == "" {
 		return nil
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	c := candidate{batch: batch, entry: e}
+	same := func(ie IndexEntry) bool { return ie.Batch == batch && ie.Campaign == e.Campaign }
 	entries, err := s.readIndexLocked()
-	if err != nil {
-		_, err := s.reindexLocked()
-		return err
-	}
-	e := deriveIndexEntry(key, rec, snap, s.lookupParamsLocked(key))
-	replaced := false
-	for i := range entries {
-		if entries[i].Key == key {
-			entries[i] = e
-			replaced = true
-			break
+	at := findEntry(entries, e.Key)
+	if err != nil || entries == nil || at >= 0 && same(entries[at]) && e.Iters < entries[at].Iters {
+		if entries, err = s.rebuildLocked(); err != nil {
+			return err
 		}
+		at = findEntry(entries, e.Key)
 	}
-	if !replaced {
-		entries = append(entries, e)
+	switch {
+	case at < 0:
+		entries = append(entries, deriveIndexEntry(c, snap))
+	case same(entries[at]) || better(c, candidate{batch: entries[at].Batch, entry: BatchEntry{
+		Campaign: entries[at].Campaign, Iters: entries[at].Iters, Status: StatusDone,
+	}}):
+		entries[at] = deriveIndexEntry(c, snap)
 	}
 	return s.writeIndexLocked(entries)
+}
+
+// findEntry returns the position of key's entry in entries, or -1.
+func findEntry(entries []IndexEntry, key string) int {
+	for i := range entries {
+		if entries[i].Key == key {
+			return i
+		}
+	}
+	return -1
 }
 
 // Index returns the verified campaign index, sorted by setup key. A store
@@ -257,11 +280,11 @@ func (s *Store) Index() ([]IndexEntry, error) {
 	return s.readIndexLocked()
 }
 
-// Reindex rebuilds index.json from the setup index and the campaign
-// snapshots, returning the number of entries written. The rebuilt index is
-// byte-identical to the incrementally maintained one — Reindex is the
-// recovery path for a corrupted index and the upgrade path for a store
-// written before the index existed.
+// Reindex rebuilds index.json from the batch manifests and the campaign
+// snapshots they name, returning the number of entries written: for each
+// setup key, the manifest entry better ranks first among those done or
+// reused whose snapshot loads. Reindex is the recovery path for a corrupted
+// index and the upgrade path for a store written before the index existed.
 func (s *Store) Reindex() (int, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -269,28 +292,46 @@ func (s *Store) Reindex() (int, error) {
 }
 
 func (s *Store) reindexLocked() (int, error) {
-	setups, err := s.readSetups()
+	entries, err := s.rebuildLocked()
 	if err != nil {
 		return 0, err
-	}
-	keys := make([]string, 0, len(setups))
-	for k := range setups {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	var entries []IndexEntry
-	for _, key := range keys {
-		rec := setups[key]
-		snap, err := s.LoadCampaign(rec.Campaign)
-		if err != nil {
-			continue // no snapshot, nothing to summarize
-		}
-		entries = append(entries, deriveIndexEntry(key, rec, snap, s.lookupParamsLocked(key)))
 	}
 	if err := s.writeIndexLocked(entries); err != nil {
 		return 0, err
 	}
 	return len(entries), nil
+}
+
+// rebuildLocked derives the index Reindex writes, without writing it.
+// Unreadable manifests contribute nothing.
+func (s *Store) rebuildLocked() ([]IndexEntry, error) {
+	ids, err := s.Batches()
+	if err != nil {
+		return nil, err
+	}
+	byKey := map[string][]candidate{}
+	for _, id := range ids {
+		man, err := s.LoadBatch(id)
+		if err != nil || man == nil {
+			continue
+		}
+		for _, e := range man.Entries {
+			if e.Key != "" && e.Campaign != "" && (e.Status == StatusDone || e.Status == StatusReused) {
+				byKey[e.Key] = append(byKey[e.Key], candidate{batch: id, entry: e})
+			}
+		}
+	}
+	var entries []IndexEntry
+	for _, cands := range byKey {
+		sort.Slice(cands, func(i, j int) bool { return better(cands[i], cands[j]) })
+		for _, c := range cands {
+			if snap, err := s.LoadCampaign(c.entry.Campaign); err == nil {
+				entries = append(entries, deriveIndexEntry(c, snap))
+				break
+			}
+		}
+	}
+	return entries, nil
 }
 
 // SetupsWithError filters index entries to those whose distinct error set

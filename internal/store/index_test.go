@@ -41,19 +41,17 @@ func indexedStore(t *testing.T) *Store {
 			t.Fatal(err)
 		}
 	}
-	recA := SetupRecord{Campaign: "camp-a", Iters: 40, Batch: "batch-1"}
-	recB := SetupRecord{Campaign: "camp-b", Iters: 25, Batch: "batch-1"}
-	if err := s.MarkExplored("key-a", recA); err != nil {
+	man := &BatchManifest{ID: "batch-1", Entries: []BatchEntry{
+		{Label: "a", Key: "key-a", Status: StatusDone, Campaign: "camp-a", Iters: 40},
+		{Label: "b", Key: "key-b", Status: StatusDone, Campaign: "camp-b", Iters: 25},
+	}}
+	if err := s.SaveBatch(man); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.MarkExplored("key-b", recB); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.IndexCampaign("key-a", recA, snapA); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.IndexCampaign("key-b", recB, snapB); err != nil {
-		t.Fatal(err)
+	for i, snap := range []*core.Snapshot{snapA, snapB} {
+		if err := s.IndexCampaign(man.ID, man.Entries[i], snap); err != nil {
+			t.Fatal(err)
+		}
 	}
 	return s
 }
@@ -163,21 +161,105 @@ func TestIndexCorruptionDetectedAndRecovered(t *testing.T) {
 		t.Fatal("reindex did not recover the exact index")
 	}
 
-	// The incremental writer self-heals too: an upsert over a corrupt index
-	// rebuilds instead of patching.
-	os.WriteFile(path, []byte("garbage"), 0o644)
+	// The incremental writer self-heals too: an upsert over a corrupt or
+	// missing index rebuilds it before patching, so the other setup's entry
+	// survives.
 	snap, err := s.LoadCampaign("camp-a")
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec, _ := s.Explored("key-a")
-	if err := s.IndexCampaign("key-a", rec, snap); err != nil {
+	man, err := s.LoadBatch("batch-1")
+	if err != nil || man == nil {
+		t.Fatalf("manifest: %v %v", man, err)
+	}
+	for name, damage := range map[string]func() error{
+		"garbage": func() error { return os.WriteFile(path, []byte("garbage"), 0o644) },
+		"missing": func() error { return os.Remove(path) },
+	} {
+		if err := damage(); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.IndexCampaign(man.ID, man.Entries[0], snap); err != nil {
+			t.Fatal(err)
+		}
+		if healed, _ := os.ReadFile(path); string(healed) != string(orig) {
+			t.Fatalf("incremental writer did not heal the %s index", name)
+		}
+	}
+}
+
+// TestIndexChoosesLikeReindex pins the selection rule IndexCampaign and
+// Reindex share: per setup, the manifest entry recorded at the most
+// iterations, then the smaller campaign name, then a finished entry before a
+// reused one, then the smaller batch ID. After every step below the
+// incremental index must equal a rebuild byte for byte.
+func TestIndexChoosesLikeReindex(t *testing.T) {
+	s, err := Open(t.TempDir())
+	if err != nil {
 		t.Fatal(err)
 	}
-	healed, _ := os.ReadFile(path)
-	if string(healed) != string(orig) {
-		t.Fatal("incremental writer did not heal the corrupt index")
+	defer s.Close()
+	snap := func(iters int) *core.Snapshot {
+		return &core.Snapshot{Version: core.SnapshotVersion, Program: "p", Iters: iters,
+			Covered: []conc.BranchBit{conc.BranchBit(iters)}}
 	}
+	done := func(label string, iters int) BatchEntry {
+		return BatchEntry{Label: label, Key: "k", Status: StatusDone, Campaign: label + "-k", Iters: iters}
+	}
+	// finish records a campaign the way sched.Batch does: Start leaves the
+	// manifest entry running, and Finish saves the final snapshot, upserts
+	// the index and then writes the manifest entry done.
+	finish := func(batch string, e BatchEntry) {
+		t.Helper()
+		running := e
+		running.Status = StatusRunning
+		for _, step := range []func() error{
+			func() error { return s.SaveBatch(&BatchManifest{ID: batch, Entries: []BatchEntry{running}}) },
+			func() error { return s.SaveCampaign(e.Campaign, snap(e.Iters)) },
+			func() error { return s.IndexCampaign(batch, e, snap(e.Iters)) },
+			func() error { return s.SaveBatch(&BatchManifest{ID: batch, Entries: []BatchEntry{e}}) },
+		} {
+			if err := step(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	check := func(step, campaign, batch string, iters int) {
+		t.Helper()
+		entries, err := s.Index()
+		if err != nil || len(entries) != 1 {
+			t.Fatalf("%s: index %+v (err %v)", step, entries, err)
+		}
+		if e := entries[0]; e.Campaign != campaign || e.Batch != batch || e.Iters != iters {
+			t.Fatalf("%s: entry %s/%s@%d, want %s/%s@%d", step, e.Campaign, e.Batch, e.Iters, campaign, batch, iters)
+		}
+		incremental, _ := os.ReadFile(s.indexPath())
+		if _, err := s.Reindex(); err != nil {
+			t.Fatal(err)
+		}
+		if rebuilt, _ := os.ReadFile(s.indexPath()); string(rebuilt) != string(incremental) {
+			t.Fatalf("%s: rebuilt index differs:\n%s\nvs\n%s", step, incremental, rebuilt)
+		}
+	}
+
+	finish("b2", done("m", 20))
+	check("first", "m-k", "b2", 20)
+	finish("b3", done("z", 30))
+	check("more iterations", "z-k", "b3", 30)
+	finish("b4", done("c", 30))
+	check("same iterations, smaller name", "c-k", "b4", 30)
+	// c's entry re-finishes at fewer iterations (a cold restart under a time
+	// budget): the index falls back to the best remaining entry.
+	finish("b4", done("c", 10))
+	check("re-finished shorter", "z-k", "b3", 30)
+	// A batch that reused z's file records it at the same iterations: the
+	// finished entry still stands for the setup, whatever the batch IDs.
+	if err := s.SaveBatch(&BatchManifest{ID: "b0", Entries: []BatchEntry{
+		{Label: "r", Key: "k", Status: StatusReused, Campaign: "z-k", Iters: 30},
+	}}); err != nil {
+		t.Fatal(err)
+	}
+	check("reused elsewhere", "z-k", "b3", 30)
 }
 
 func TestMinimizeDropsSubsumedCorpus(t *testing.T) {

@@ -12,7 +12,7 @@ import (
 // Multi-process locking. The store's writes are individually atomic, but two
 // processes interleaving read-modify-write cycles (two schedulers resuming
 // the same batch, a fleet coordinator plus a stray `compi sched`) would race
-// each other's setup index and manifests. An advisory lockfile makes that a
+// each other's campaign index and manifests. An advisory lockfile makes that a
 // refused Open instead of silent corruption: the first opener creates
 // LOCK (O_EXCL, so creation is the atomic acquire) recording its PID; later
 // openers from other processes get a *LockHeldError naming the holder.

@@ -2,19 +2,21 @@
 // persistence layer every level of the system shares — and the queryable
 // system of record over it. COMPI operates through files between executions
 // (§IV); the store is that idea grown up — one directory holding
-// per-campaign snapshots, batch manifests for resumable scheduler runs, a
-// setup index that dedups identical shard setups across batches, and a
-// campaign index (index.go) that answers cross-campaign questions — which
-// setups found an error, what coverage each target reached, which campaigns
-// proved refutations — without replaying anything.
+// per-campaign snapshots, batch manifests for resumable scheduler runs, and
+// a campaign index (index.go), one entry per canonical setup, that both
+// dedups identical setups across batches and answers cross-campaign
+// questions — which setups found an error, what coverage each target
+// reached, which campaigns proved refutations — without replaying anything.
 //
 // Layout of a store directory:
 //
 //	store.json        — store schema version + expr.CanonVersion at creation
 //	campaigns/<name>.json — one core.Snapshot per campaign
 //	batches/<id>.json — one BatchManifest per scheduler batch
-//	setups.json       — setup key → campaign file (cross-batch dedup index)
-//	index.json        — per-campaign summary index, checksummed (index.go)
+//	index.json        — setup key → campaign file and summary, checksummed (index.go)
+//
+// A setups.json or solver.json that earlier versions wrote is left in place
+// and ignored.
 //
 // Every write goes through WriteAtomic, so a killed process can truncate
 // nothing: readers see the previous complete state. One process owns a store

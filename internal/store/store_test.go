@@ -174,26 +174,35 @@ func TestBatchRoundTrip(t *testing.T) {
 	}
 }
 
+// TestSetupIndex: the campaign index is the store's setup index. An empty
+// store has no entry; a setup finished again, further, in another batch
+// moves its one entry there.
 func TestSetupIndex(t *testing.T) {
 	s, err := Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := s.Explored("k1"); ok {
-		t.Fatal("empty index reported a setup")
+	if entries, err := s.Index(); err != nil || len(entries) != 0 {
+		t.Fatalf("empty store reported setups %v (err %v)", entries, err)
 	}
-	if err := s.MarkExplored("k1", SetupRecord{Campaign: "c1", Iters: 50, Batch: "b1"}); err != nil {
-		t.Fatal(err)
+	for _, step := range []struct {
+		batch string
+		iters int
+	}{{"b1", 50}, {"b2", 100}} {
+		e := BatchEntry{Label: "c", Key: "k1", Status: StatusDone, Campaign: "c1", Iters: step.iters}
+		snap := &core.Snapshot{Version: core.SnapshotVersion, Program: "p", Iters: step.iters}
+		if err := s.SaveCampaign(e.Campaign, snap); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.IndexCampaign(step.batch, e, snap); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if err := s.MarkExplored("k1", SetupRecord{Campaign: "c1", Iters: 100, Batch: "b2"}); err != nil {
-		t.Fatal(err)
+	entries, err := s.Index()
+	if err != nil || len(entries) != 1 {
+		t.Fatalf("index %v (err %v)", entries, err)
 	}
-	rec, ok := s.Explored("k1")
-	if !ok || rec.Iters != 100 || rec.Batch != "b2" {
-		t.Fatalf("record %+v ok=%v", rec, ok)
-	}
-	all, err := s.Setups()
-	if err != nil || len(all) != 1 {
-		t.Fatalf("setups %v (%v)", all, err)
+	if e := entries[0]; e.Key != "k1" || e.Campaign != "c1" || e.Iters != 100 || e.Batch != "b2" {
+		t.Fatalf("entry %+v", e)
 	}
 }

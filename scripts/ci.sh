@@ -91,7 +91,10 @@ go test ./internal/proto -run 'TestCrossProcessConformance|TestScheduleConforman
 
 echo "== kill-and-resume determinism (compi -state / sched store) =="
 # A campaign stopped at iteration k and resumed from its state file must
-# equal the uninterrupted run; the sched half is covered by the store tests.
+# equal the uninterrupted run. The sched half is TestKillResume, which kills
+# a store-backed batch inside a checkpoint hook in a child process and
+# requires the rerun to run only the remaining iterations, plus the store
+# tests listed below.
 STATE_DIR="$(mktemp -d)"
 "$BIN_DIR/compi" -target skeleton -iters 200 -seed 7 > "$STATE_DIR/full.out"
 "$BIN_DIR/compi" -target skeleton -iters 80 -seed 7 -state "$STATE_DIR/state.json" > /dev/null
@@ -104,14 +107,14 @@ fi
 "$BIN_DIR/compi" sched -targets skeleton -seeds 3,4 -iters 60 -state-dir "$STATE_DIR/store" > /dev/null
 "$BIN_DIR/compi" store -dir "$STATE_DIR/store" | grep -q '^campaigns 2$' || {
   echo "compi store could not read back the state dir" >&2; exit 1; }
-go test ./internal/sched -run 'TestStoreBatchResumeEqualsFresh|TestStoreCrossBatchReuse|TestStoreWriteFailuresSurface' -count=1
+go test ./internal/sched -run 'TestKillResume|TestStoreBatchResumeEqualsFresh|TestStoreCrossBatchReuse|TestStoreWriteFailuresSurface' -count=1
 rm -rf "$STATE_DIR"
 
 echo "== store write failures are reported (compi sched on a broken store) =="
-# A store whose setup index cannot be written must fail the batch loudly: the
-# summary names the failed writes and compi sched exits non-zero.
+# A store whose campaign index cannot be written must fail the batch loudly:
+# the summary names the failed writes and compi sched exits non-zero.
 FAIL_DIR="$(mktemp -d)"
-mkdir -p "$FAIL_DIR/store/setups.json"
+mkdir -p "$FAIL_DIR/store/index.json"
 if "$BIN_DIR/compi" sched -targets skeleton -seeds 3 -iters 10 -state-dir "$FAIL_DIR/store" > "$FAIL_DIR/sched.out"; then
   echo "compi sched exited 0 although its store writes failed" >&2; exit 1
 fi
