@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"runtime"
 	"testing"
@@ -24,6 +25,7 @@ import (
 	"repro/internal/expr"
 	"repro/internal/fleet"
 	"repro/internal/mpi"
+	"repro/internal/proto"
 	"repro/internal/sched"
 	"repro/internal/solver"
 	"repro/internal/spec"
@@ -32,6 +34,7 @@ import (
 	_ "repro/internal/targets/hpl"
 	_ "repro/internal/targets/imb"
 	_ "repro/internal/targets/skeleton"
+	"repro/internal/targets/stencil"
 	"repro/internal/targets/susy"
 )
 
@@ -279,6 +282,65 @@ func BenchmarkSolveIncremental(b *testing.B) {
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(rec.calls)), "ns/call")
 		})
 	}
+}
+
+// BenchmarkPipeLaunch is the pipe-protocol layer benchmark: one 8-rank
+// stencil launch, repeated, through a compi-target child (proto.Start) and
+// through the in-process backend the child itself runs. The pipe's cost is
+// the difference. "rejected" stops every rank at the first input check;
+// "nx64-maxiter1" runs one solver sweep over a 64-column grid. Each reports
+// us/launch. The child is $COMPI_TARGET_BIN when set, else built here once.
+func BenchmarkPipeLaunch(b *testing.B) {
+	bin := os.Getenv("COMPI_TARGET_BIN")
+	if bin == "" {
+		bin = filepath.Join(b.TempDir(), "compi-target")
+		if out, err := exec.Command("go", "build", "-o", bin, "./cmd/compi-target").CombinedOutput(); err != nil {
+			b.Fatalf("building compi-target: %v\n%s", err, out)
+		}
+	}
+	prog, ok := target.Lookup("stencil")
+	if !ok {
+		b.Fatal("stencil target not registered")
+	}
+	inputs := func(nx, maxiter int64) map[string]int64 {
+		in := stencil.DefaultInputs()
+		in["nx"], in["maxiter"] = nx, maxiter
+		return in
+	}
+	for _, bc := range []struct {
+		name   string
+		inputs map[string]int64
+	}{
+		{"rejected", inputs(0, 50)},
+		{"nx64-maxiter1", inputs(64, 1)},
+	} {
+		s := core.LaunchSpec{NProcs: 8, Inputs: bc.inputs, Params: stencil.FixAll(), Seed: 1,
+			Timeout: 30 * time.Second, Reduction: true}
+		b.Run(bc.name+"/in-process", func(b *testing.B) {
+			benchLaunch(b, core.NewInProcess(prog, conc.NewVarSpace()), s)
+		})
+		b.Run(bc.name+"/pipe", func(b *testing.B) {
+			drv, err := proto.Start(bin, proto.Options{Args: []string{"-target", "stencil"}})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer drv.Close()
+			benchLaunch(b, drv, s)
+		})
+	}
+}
+
+// benchLaunch launches s b.N times on be and reports us/launch.
+func benchLaunch(b *testing.B, be core.Backend, s core.LaunchSpec) {
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.Iter = i
+		if run := be.Launch(s); len(run.Ranks) != s.NProcs {
+			b.Fatalf("launch %d returned %d ranks, want %d", i, len(run.Ranks), s.NProcs)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N), "us/launch")
 }
 
 // benchQueryStore builds a store with synthetic indexed campaigns spread

@@ -4,11 +4,11 @@
 // sched.Spec with External set.
 //
 // The protocol runs over stdin/stdout (stderr stays free for diagnostics):
-// on start the binary announces the selected program's manifest in a
-// handshake frame, then executes one in-process MPI launch per
-// assign-inputs frame, streaming each rank's branch events and errors back.
-// It exits 0 when the driver closes its stdin, non-zero on a protocol
-// violation.
+// on start the binary announces the selected program's manifest in a JSON
+// handshake frame, then executes one in-process MPI launch per binary assign
+// frame and answers with one binary rank frame per rank: its status, exit
+// code, error message and log. It exits 0 when the driver closes its stdin,
+// non-zero on a protocol violation.
 //
 // Usage:
 //

@@ -49,8 +49,11 @@ var errTruncated = errors.New("conc: truncated log")
 
 // Encode serializes l to the on-disk format. The byte count of the result is
 // the "log size" reported in the instrumentation experiments.
-func (l *Log) Encode() []byte {
-	var b []byte
+func (l *Log) Encode() []byte { return l.AppendEncode(nil) }
+
+// AppendEncode appends l's Encode bytes to b and returns the extended
+// buffer, so a writer that sends many logs can reuse one buffer.
+func (l *Log) AppendEncode(b []byte) []byte {
 	b = append(b, byte(l.Mode))
 	b = binary.AppendUvarint(b, uint64(l.Rank))
 	b = binary.AppendUvarint(b, uint64(len(l.Covered)))

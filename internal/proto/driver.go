@@ -11,7 +11,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/conc"
 	"repro/internal/core"
 	"repro/internal/mpi"
 	"repro/internal/target"
@@ -33,48 +32,45 @@ type Options struct {
 	// default 10s.
 	HandshakeTimeout time.Duration
 
-	// Grace is the frame-read watchdog slack added to each iteration's
-	// timeout, mirroring the in-process runtime's grace period for blocked
-	// ranks to unwind; default 5s.
+	// Grace is the read-deadline slack added to each iteration's timeout,
+	// mirroring the in-process runtime's grace period for blocked ranks to
+	// unwind; default 5s.
 	Grace time.Duration
 }
 
 // Driver is the engine side of the protocol: a supervised external target
 // process plus the core.Backend implementation that replays the engine's
-// concrete input assignments to it and feeds its branch events back.
+// concrete input assignments to it and feeds its rank logs back.
 //
 // Failure semantics match the in-process MPI runtime's: a target that exits
-// (crash capture: the exit code lands in the error message), writes garbage,
-// or stops responding (frame-read watchdog) surfaces as a failed iteration
-// with one non-OK focus rank, which the engine records as an error-inducing
-// input. The first failure is sticky — the process is killed and every
-// subsequent Launch returns the same failure immediately — so a dead target
-// yields one deduplicated error record and never stalls a scheduler.
+// (crash capture: the exit code lands in the error message), writes a frame
+// that does not decode, or stops responding (the read deadline) surfaces as
+// a failed iteration with one non-OK focus rank, which the engine records as
+// an error-inducing input. The first failure is sticky — the process is
+// killed and every subsequent Launch returns the same failure immediately —
+// so a dead target yields one deduplicated error record and never stalls a
+// scheduler.
 //
-// A Driver belongs to exactly one engine (the protocol is a sequential
-// session); the creator owns Close.
+// A Driver belongs to exactly one engine and is used from one goroutine at a
+// time (the protocol is a sequential session); the creator owns Close.
 type Driver struct {
 	bin    string
 	cmd    *exec.Cmd
 	stdin  io.WriteCloser
-	frames chan frameOrErr
+	stdout *os.File // read end of the target's stdout, for read deadlines
+	br     *bufio.Reader
 	grace  time.Duration
+
+	// out and in are the frame buffers, reused across iterations.
+	out, in []byte
 
 	manifest target.Manifest
 
-	stop     chan struct{}
-	stopOnce sync.Once
 	waitOnce sync.Once
 	waitErr  error
 
-	mu     sync.Mutex
 	dead   error
 	deadSt mpi.RankStatus
-}
-
-type frameOrErr struct {
-	f   Frame
-	err error
 }
 
 // Start launches the target binary, performs the handshake, and returns a
@@ -92,62 +88,62 @@ func Start(bin string, opt Options) (*Driver, error) {
 	if err != nil {
 		return nil, fmt.Errorf("proto: %v", err)
 	}
-	stdout, err := cmd.StdoutPipe()
+	// A pipe of our own rather than StdoutPipe: Launch reads it under a
+	// deadline, which needs the *os.File.
+	stdout, w, err := os.Pipe()
 	if err != nil {
 		return nil, fmt.Errorf("proto: %v", err)
 	}
-	if err := cmd.Start(); err != nil {
+	cmd.Stdout = w
+	err = cmd.Start()
+	w.Close() // the child holds its own copy
+	if err != nil {
+		stdout.Close()
 		return nil, fmt.Errorf("proto: starting target %q: %w", bin, err)
 	}
 	d := &Driver{
 		bin:    bin,
 		cmd:    cmd,
 		stdin:  stdin,
-		frames: make(chan frameOrErr),
-		stop:   make(chan struct{}),
+		stdout: stdout,
+		br:     bufio.NewReaderSize(stdout, 1<<16),
 		grace:  opt.Grace,
 	}
 	if d.grace <= 0 {
 		d.grace = 5 * time.Second
 	}
-	go d.readLoop(stdout)
 
 	hsTimeout := opt.HandshakeTimeout
 	if hsTimeout <= 0 {
 		hsTimeout = 10 * time.Second
 	}
-	timer := time.NewTimer(hsTimeout)
-	defer timer.Stop()
-	select {
-	case fr := <-d.frames:
-		if fr.err != nil {
-			d.kill()
-			d.wait()
-			return nil, fmt.Errorf("proto: target %q died before handshake: %v", d.name(), fr.err)
-		}
-		if fr.f.Type != FrameHandshake {
-			d.kill()
-			d.wait()
-			return nil, fmt.Errorf("proto: target %q opened with a %q frame, want handshake", d.name(), fr.f.Type)
-		}
-		hs := fr.f.Handshake
-		if hs.Proto != Version {
-			d.kill()
-			d.wait()
-			return nil, fmt.Errorf("proto: target %q speaks protocol %d, driver speaks %d", d.name(), hs.Proto, Version)
-		}
-		if err := hs.Manifest.Validate(); err != nil {
-			d.kill()
-			d.wait()
-			return nil, fmt.Errorf("proto: target %q handshake: %w", d.name(), err)
-		}
-		d.manifest = hs.Manifest
-	case <-timer.C:
-		d.kill()
-		d.wait()
-		return nil, fmt.Errorf("proto: target %q sent no handshake within %s", d.name(), hsTimeout)
+	if err := stdout.SetReadDeadline(time.Now().Add(hsTimeout)); err != nil {
+		return d.abort(fmt.Errorf("proto: %v", err))
 	}
+	f, err := ReadFrame(d.br)
+	switch {
+	case errors.Is(err, os.ErrDeadlineExceeded):
+		return d.abort(fmt.Errorf("proto: target %q sent no handshake within %s", d.name(), hsTimeout))
+	case err != nil:
+		return d.abort(fmt.Errorf("proto: target %q sent no handshake: %v", d.name(), err))
+	}
+	hs := f.Handshake
+	if hs.Proto != Version {
+		return d.abort(fmt.Errorf("proto: target %q speaks protocol %d, driver speaks %d", d.name(), hs.Proto, Version))
+	}
+	if err := hs.Manifest.Validate(); err != nil {
+		return d.abort(fmt.Errorf("proto: target %q handshake: %w", d.name(), err))
+	}
+	d.manifest = hs.Manifest
 	return d, nil
+}
+
+// abort ends a session Start could not open.
+func (d *Driver) abort(err error) (*Driver, error) {
+	d.kill()
+	d.wait()
+	d.stdout.Close()
+	return nil, err
 }
 
 // Manifest returns the static program model the target announced in its
@@ -162,53 +158,27 @@ func (d *Driver) Program() (*target.Program, error) {
 
 func (d *Driver) name() string { return filepath.Base(d.bin) }
 
-// readLoop pumps frames from the target's stdout to Launch. It exits on the
-// first read error (pushed to the channel for classification) or when the
-// driver stops.
-func (d *Driver) readLoop(stdout io.Reader) {
-	br := bufio.NewReaderSize(stdout, 1<<16)
-	for {
-		f, err := ReadFrame(br)
-		select {
-		case d.frames <- frameOrErr{f: f, err: err}:
-		case <-d.stop:
-			return
-		}
-		if err != nil {
-			return
-		}
-	}
-}
-
-// Launch implements core.Backend: one engine iteration over the pipe.
+// Launch implements core.Backend: one engine iteration over the pipe. It
+// writes the assign frame, then reads the s.NProcs rank frames itself; the
+// read deadline is the iteration's timeout plus the grace period.
 func (d *Driver) Launch(s core.LaunchSpec) mpi.RunResult {
 	start := time.Now()
-	d.mu.Lock()
-	dead, deadSt := d.dead, d.deadSt
-	d.mu.Unlock()
-	if dead != nil {
-		return d.failResult(s, dead, deadSt, start)
+	if d.dead != nil {
+		return d.failResult(s, start)
+	}
+	if n := d.br.Buffered(); n > 0 {
+		// A frame past the last iteration's nprocs would be read as this
+		// iteration's answer.
+		return d.fail(s, start, mpi.StatusCrash,
+			fmt.Errorf("proto: target %q wrote %d bytes between iterations", d.name(), n))
 	}
 
-	err := WriteFrame(d.stdin, Frame{Type: FrameAssign, Assign: &Assign{
-		Iter:       s.Iter,
-		NProcs:     s.NProcs,
-		Focus:      s.Focus,
-		Seed:       s.Seed,
-		TimeoutMS:  s.Timeout.Milliseconds(),
-		MaxTicks:   s.MaxTicks,
-		Reduction:  s.Reduction,
-		OneWay:     s.OneWay,
-		TraceHint:  s.TraceHint,
-		Inputs:     s.Inputs,
-		Params:     s.Params,
-		Schedules:  s.Schedules,
-		MatchOrder: s.MatchOrder,
-	}})
-	if err != nil {
-		// The write half broke: the target is gone. Classify by exit code.
-		err, st := d.exitFailure()
-		return d.failResult(s, err, st, start)
+	d.out = appendAssign(appendFrameHeader(d.out[:0]), s)
+	if err := endFrame(d.out); err != nil {
+		return d.fail(s, start, mpi.StatusCrash, err)
+	}
+	if _, err := d.stdin.Write(d.out); err != nil {
+		return d.exitFailure(s, start) // the write half broke: the target is gone
 	}
 
 	timeout := s.Timeout
@@ -216,105 +186,65 @@ func (d *Driver) Launch(s core.LaunchSpec) mpi.RunResult {
 		timeout = time.Minute // mirror mpi.Launch's default
 	}
 	watchdog := timeout + d.grace
+	d.stdout.SetReadDeadline(time.Now().Add(watchdog)) // cannot fail: Start set one
 	ranks := make([]mpi.RankResult, s.NProcs)
 	for i := range ranks {
-		ranks[i].Rank = i
-	}
-	timer := time.NewTimer(watchdog)
-	defer timer.Stop()
-	for {
-		select {
-		case fr := <-d.frames:
-			if fr.err != nil {
-				var ferr error
-				var st mpi.RankStatus
-				if errors.Is(fr.err, io.EOF) {
-					ferr, st = d.exitFailure()
-				} else {
-					ferr, st = d.fail(mpi.StatusCrash,
-						fmt.Errorf("proto: unreadable frame from target %q: %v", d.name(), fr.err))
-				}
-				return d.failResult(s, ferr, st, start)
+		var err error
+		if d.in, err = readRaw(d.br, d.in); err == nil {
+			var f rankFrame
+			if f, err = decodeRank(d.in); err == nil {
+				ranks[i], err = f.result(i)
 			}
-			switch fr.f.Type {
-			case FrameBranch:
-				b := fr.f.Branch
-				if b.Rank < 0 || b.Rank >= len(ranks) {
-					ferr, st := d.fail(mpi.StatusCrash,
-						fmt.Errorf("proto: target %q reported branch events for rank %d of %d", d.name(), b.Rank, len(ranks)))
-					return d.failResult(s, ferr, st, start)
-				}
-				l, err := conc.Decode(b.Log)
-				if err != nil {
-					ferr, st := d.fail(mpi.StatusCrash,
-						fmt.Errorf("proto: undecodable rank log from target %q: %v", d.name(), err))
-					return d.failResult(s, ferr, st, start)
-				}
-				ranks[b.Rank].Log = l
-				ranks[b.Rank].LogBytes = len(b.Log)
-			case FrameError:
-				ev := fr.f.Error
-				if ev.Rank < 0 || ev.Rank >= len(ranks) {
-					ferr, st := d.fail(mpi.StatusCrash,
-						fmt.Errorf("proto: target %q reported an error for rank %d of %d", d.name(), ev.Rank, len(ranks)))
-					return d.failResult(s, ferr, st, start)
-				}
-				ranks[ev.Rank].Status = mpi.RankStatus(ev.Status)
-				ranks[ev.Rank].Exit = ev.Exit
-				if ev.Msg != "" {
-					ranks[ev.Rank].Err = errors.New(ev.Msg)
-				}
-			case FrameDone:
-				return mpi.RunResult{Ranks: ranks, Elapsed: time.Since(start)}
-			default:
-				ferr, st := d.fail(mpi.StatusCrash,
-					fmt.Errorf("proto: unexpected %q frame from target %q mid-iteration", fr.f.Type, d.name()))
-				return d.failResult(s, ferr, st, start)
-			}
-		case <-timer.C:
-			ferr, st := d.fail(mpi.StatusHang,
+		}
+		switch {
+		case err == nil:
+		case errors.Is(err, os.ErrDeadlineExceeded):
+			return d.fail(s, start, mpi.StatusHang,
 				fmt.Errorf("proto: target %q stopped responding (frame watchdog %s)", d.name(), watchdog))
-			return d.failResult(s, ferr, st, start)
+		case errors.Is(err, io.EOF):
+			return d.exitFailure(s, start)
+		default:
+			return d.fail(s, start, mpi.StatusCrash,
+				fmt.Errorf("proto: unreadable frame from target %q: %v", d.name(), err))
 		}
 	}
+	return mpi.RunResult{Ranks: ranks, Elapsed: time.Since(start)}
 }
 
-// exitFailure reaps the exited target and produces the crash-capture
-// failure: the exit code becomes part of the (stable, dedupable) message.
-func (d *Driver) exitFailure() (error, mpi.RankStatus) {
+// exitFailure reaps the exited target and fails the session with the
+// crash-capture failure: the exit code becomes part of the (stable,
+// dedupable) message.
+func (d *Driver) exitFailure(s core.LaunchSpec, start time.Time) mpi.RunResult {
 	d.kill()
 	d.wait()
 	code := -1
 	if ps := d.cmd.ProcessState; ps != nil {
 		code = ps.ExitCode()
 	}
-	var err error
+	err := fmt.Errorf("proto: target %q exited with code %d mid-iteration", d.name(), code)
 	if code == 0 {
 		err = fmt.Errorf("proto: target %q closed the session mid-campaign", d.name())
-	} else {
-		err = fmt.Errorf("proto: target %q exited with code %d mid-iteration", d.name(), code)
 	}
-	return d.fail(mpi.StatusAborted, err)
+	return d.fail(s, start, mpi.StatusAborted, err)
 }
 
-// fail kills the target and installs the sticky failure; the first failure
-// wins, so every later iteration reports the identical error record and the
-// engine's dedup collapses them to one distinct bug.
-func (d *Driver) fail(st mpi.RankStatus, err error) (error, mpi.RankStatus) {
+// fail kills the target, installs the sticky failure and returns this
+// iteration's failed result. The first failure wins, so every later
+// iteration reports the identical error record and the engine's dedup
+// collapses them to one distinct bug.
+func (d *Driver) fail(s core.LaunchSpec, start time.Time, st mpi.RankStatus, err error) mpi.RunResult {
 	d.kill()
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	if d.dead == nil {
 		d.dead, d.deadSt = err, st
 	}
-	return d.dead, d.deadSt
+	return d.failResult(s, start)
 }
 
 // failResult synthesizes the iteration outcome for a failed session: the
-// focus rank carries the failure (matching where the in-process runtime
-// pins primary failures), everything else is an empty OK rank with no log,
-// which sends the engine through its restart path.
-func (d *Driver) failResult(s core.LaunchSpec, err error, st mpi.RankStatus, start time.Time) mpi.RunResult {
+// focus rank carries the sticky failure (matching where the in-process
+// runtime pins primary failures), everything else is an empty OK rank with
+// no log, which sends the engine through its restart path.
+func (d *Driver) failResult(s core.LaunchSpec, start time.Time) mpi.RunResult {
 	n := s.NProcs
 	if n < 1 {
 		n = 1
@@ -327,19 +257,16 @@ func (d *Driver) failResult(s core.LaunchSpec, err error, st mpi.RankStatus, sta
 	if f < 0 || f >= n {
 		f = 0
 	}
-	ranks[f].Status = st
-	ranks[f].Err = err
+	ranks[f].Status = d.deadSt
+	ranks[f].Err = d.dead
 	return mpi.RunResult{Ranks: ranks, Elapsed: time.Since(start)}
 }
 
-// kill terminates the target process and stops the read loop. Idempotent.
+// kill terminates the target process. Killing an exited one is harmless.
 func (d *Driver) kill() {
-	d.stopOnce.Do(func() {
-		close(d.stop)
-		if d.cmd.Process != nil {
-			d.cmd.Process.Kill()
-		}
-	})
+	if d.cmd.Process != nil {
+		d.cmd.Process.Kill()
+	}
 }
 
 // wait reaps the process exactly once.
@@ -364,11 +291,8 @@ func (d *Driver) Close() error {
 		d.kill()
 		werr = <-done
 	}
-	d.kill() // stop the read loop even when the process exited on its own
-	d.mu.Lock()
-	dead := d.dead
-	d.mu.Unlock()
-	if dead != nil || werr == nil {
+	d.stdout.Close()
+	if d.dead != nil || werr == nil {
 		return nil
 	}
 	return fmt.Errorf("proto: target %q: %w", d.name(), werr)

@@ -1,12 +1,15 @@
 package proto_test
 
 import (
+	"fmt"
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/mpi"
 	"repro/internal/proto"
 	"repro/internal/sched"
 	"repro/internal/spec"
@@ -99,10 +102,74 @@ func TestDriverTargetStopsResponding(t *testing.T) {
 	start := time.Now()
 	res := runFaultCampaign(t, startFault(t, "stall"))
 	assertSingleFault(t, res, "stopped responding")
-	// Watchdog = RunTimeout (1s) + Grace (500ms), and only the first
+	// Read deadline = RunTimeout (1s) + Grace (500ms), and only the first
 	// iteration waits on it; the sticky failure short-circuits the rest.
 	if elapsed := time.Since(start); elapsed > 10*time.Second {
 		t.Fatalf("stalled target held the campaign for %s; watchdog did not fire in time", elapsed)
+	}
+}
+
+// TestDriverRejectsImpossibleRankStatus: a well-framed rank frame whose
+// status no rank can end with is a malformed frame, not a failed rank the
+// engine has no error record for.
+func TestDriverRejectsImpossibleRankStatus(t *testing.T) {
+	res := runFaultCampaign(t, startFault(t, "bad-status"))
+	assertSingleFault(t, res, "rank status 9")
+	assertCrashNamesTarget(t, res)
+}
+
+func TestDriverRejectsUndecodableLog(t *testing.T) {
+	res := runFaultCampaign(t, startFault(t, "bad-log"))
+	assertSingleFault(t, res, "undecodable log")
+	assertCrashNamesTarget(t, res)
+}
+
+// assertCrashNamesTarget checks that a malformed-frame fault is recorded as
+// a crash whose key names the target binary.
+func assertCrashNamesTarget(t *testing.T, res core.Result) {
+	t.Helper()
+	name := filepath.Base(os.Args[0])
+	for msg, recs := range res.DistinctErrors() {
+		if !strings.Contains(msg, fmt.Sprintf("unreadable frame from target %q", name)) {
+			t.Fatalf("error key %q does not name the target %q", msg, name)
+		}
+		if recs[0].Status != mpi.StatusCrash {
+			t.Fatalf("error key %q recorded as %v, want crash", msg, recs[0].Status)
+		}
+	}
+}
+
+// TestDriverRejectsExtraFrames: a frame beyond an iteration's nprocs would
+// be read as the next iteration's answer, so the next Launch refuses it.
+func TestDriverRejectsExtraFrames(t *testing.T) {
+	res := runFaultCampaign(t, startFault(t, "extra-frame"))
+	if res.Iterations[0].Failed {
+		t.Fatal("iteration 0, whose frames were well-formed, failed")
+	}
+	distinct := res.DistinctErrors()
+	if len(distinct) != 1 {
+		t.Fatalf("got %d distinct error keys, want exactly 1", len(distinct))
+	}
+	for msg, recs := range distinct {
+		if !strings.Contains(msg, "between iterations") || len(recs) != len(res.Iterations)-1 {
+			t.Fatalf("error key %q with %d records, want every iteration after the first", msg, len(recs))
+		}
+	}
+}
+
+// TestDriverRefusesOtherVersion: a target of protocol version 2 is refused at
+// the handshake, before any iteration runs.
+func TestDriverRefusesOtherVersion(t *testing.T) {
+	drv, err := proto.Start(os.Args[0], proto.Options{
+		Env:    []string{"COMPI_PROTO_FAULT=v2"},
+		Stderr: os.Stderr,
+	})
+	if err == nil {
+		drv.Close()
+		t.Fatal("driver accepted a protocol 2 target")
+	}
+	if want := fmt.Sprintf("speaks protocol 2, driver speaks %d", proto.Version); !strings.Contains(err.Error(), want) {
+		t.Fatalf("error %q, want substring %q", err, want)
 	}
 }
 

@@ -1,22 +1,25 @@
 // Package proto is the out-of-process target protocol: the wire format and
 // the two endpoints that let COMPI drive a program it did not compile.
 //
-// COMPI proper instruments arbitrary C MPI programs and runs them as
-// separate processes under mpiexec, talking to them through files. This
-// package is that process boundary for the reproduction: a length-prefixed
-// JSON protocol over a pair of pipes (the target's stdin/stdout), with the
-// engine side and the target side each holding one half.
+// COMPI proper instruments arbitrary C MPI programs, runs them as separate
+// processes under mpiexec, and reads every process's log back after each
+// execution. This package is that process boundary for the reproduction:
+// length-prefixed frames over a pair of pipes (the target's stdin/stdout),
+// with the engine side and the target side each holding one half.
 //
-//   - Frame/WriteFrame/ReadFrame: the wire format. Every frame is a 4-byte
-//     big-endian length followed by one JSON object; ReadFrame refuses
-//     zero-length and oversized frames before allocating anything.
-//   - Driver: the engine side. It launches the target binary, performs the
+//   - The wire format. Every frame is a 4-byte big-endian payload length,
+//     then the payload (EncodeRaw/ReadRaw); readers refuse zero-length and
+//     oversized frames before allocating anything. The session-opening
+//     handshake is one JSON object (Frame, WriteFrame/ReadFrame), because
+//     its manifest is the `compi targets --json` contract. The per-iteration
+//     frames are binary (iteration.go).
+//   - Driver: the engine side. It launches the target binary, reads the
 //     handshake (the target announces its target.Manifest), and implements
-//     core.Backend: each engine iteration becomes one assign-inputs frame
-//     out and a stream of branch-event/error frames back, terminated by
-//     iteration-done. A frame-read watchdog and exit-code capture translate
-//     a crashed, garbage-spewing, or wedged target into the same error
-//     records the in-process MPI runtime produces.
+//     core.Backend: each engine iteration writes one assign frame and reads
+//     back exactly nprocs rank frames itself, under a read deadline.
+//     Exit-code capture, the frame checks and the deadline translate a
+//     crashed, garbage-spewing, or wedged target into the same error records
+//     the in-process MPI runtime produces.
 //   - Serve: the target side. Any Go binary that links a registered
 //     target.Program (or builds one with internal/target's Builder) calls
 //     Serve(os.Stdin, os.Stdout, prog) to become drivable; cmd/compi-target
@@ -25,12 +28,10 @@
 // Session lifecycle, from the driver's point of view:
 //
 //	start target process
-//	<- handshake {proto, manifest}
+//	<- handshake {proto, manifest}                        JSON
 //	repeat per engine iteration:
-//	    -> assign-inputs {iter, nprocs, focus, seed, inputs, params, ...}
-//	    <- branch-event {iter, rank, log}      (one per rank that produced a log)
-//	    <- error {iter, rank, status, exit, msg}  (one per abnormal rank)
-//	    <- iteration-done {iter, elapsed_us}
+//	    -> assign {iter, nprocs, focus, seed, ..., inputs, params, match order}
+//	    <- rank {status, exit, msg, log}                  one per rank, in rank order
 //	close stdin; target exits 0
 //
 // The target side executes each iteration through the exact same in-process
@@ -50,47 +51,33 @@ import (
 
 // Version is the protocol version carried in the handshake. The driver
 // refuses a target speaking a different version: the frame schema is an
-// interface contract, pinned by a golden-file test. Version 2 added the
-// schedule-space fields to Assign (Schedules, MatchOrder) and the deadlock
-// status to ErrorEvent's range — a v1 peer would silently drop the match
-// directives, so the mismatch is a refusal, not a downgrade.
-const Version = 2
+// interface contract, pinned by golden-bytes tests. Version 2 added the
+// schedule-space fields (Schedules, MatchOrder) to the assign frame; version
+// 3 made the per-iteration frames binary, with exactly one answer frame per
+// rank. A peer of another version would misread every iteration, so the
+// mismatch is a refusal, not a downgrade.
+const Version = 3
 
-// MaxFrameBytes bounds a single frame's JSON payload. Branch-event frames
-// carry whole rank logs (the focus trace scales with the instrumentation
-// tick budget), so the bound is generous; anything larger is a corrupt or
-// hostile peer and is rejected before allocation.
+// MaxFrameBytes bounds a single frame's payload. A rank frame carries a
+// whole rank log (the focus trace scales with the instrumentation tick
+// budget, and under one-way instrumentation every rank's does), so the bound
+// is generous; anything larger is a corrupt or hostile peer and is rejected
+// before allocation.
 const MaxFrameBytes = 64 << 20
 
-// FrameType discriminates the protocol's frames.
+// FrameType discriminates the JSON frames.
 type FrameType string
 
-// The five frame types of protocol version 1.
-const (
-	// FrameHandshake opens a session (target → driver): protocol version
-	// and the target's static manifest.
-	FrameHandshake FrameType = "handshake"
-	// FrameAssign starts one iteration (driver → target): the concrete
-	// launch setup and input assignment.
-	FrameAssign FrameType = "assign-inputs"
-	// FrameBranch carries one rank's instrumentation log — its branch
-	// events — back to the driver (target → driver).
-	FrameBranch FrameType = "branch-event"
-	// FrameError reports one rank's abnormal outcome (target → driver).
-	FrameError FrameType = "error"
-	// FrameDone ends one iteration (target → driver).
-	FrameDone FrameType = "iteration-done"
-)
+// FrameHandshake opens a session (target → driver): protocol version and
+// the target's static manifest. It is the only JSON frame.
+const FrameHandshake FrameType = "handshake"
 
-// Frame is the wire envelope: a type tag plus exactly one payload, the one
-// matching the type. ReadFrame enforces the pairing.
+// Frame is the JSON envelope: a type tag plus the payload matching it.
+// ReadFrame enforces the pairing. The envelope lets a peer of any protocol
+// version read the handshake far enough to refuse it.
 type Frame struct {
-	Type      FrameType   `json:"type"`
-	Handshake *Handshake  `json:"handshake,omitempty"`
-	Assign    *Assign     `json:"assign,omitempty"`
-	Branch    *Branch     `json:"branch,omitempty"`
-	Error     *ErrorEvent `json:"error,omitempty"`
-	Done      *Done       `json:"done,omitempty"`
+	Type      FrameType  `json:"type"`
+	Handshake *Handshake `json:"handshake,omitempty"`
 }
 
 // Handshake is the session-opening payload: the target announces which
@@ -103,75 +90,12 @@ type Handshake struct {
 	Manifest target.Manifest `json:"manifest"`
 }
 
-// Assign is the per-iteration request: everything core.LaunchSpec carries,
-// flattened to plain JSON values. Times travel as explicit units (ms) so
-// both ends agree without sharing a clock.
-type Assign struct {
-	Iter      int              `json:"iter"`
-	NProcs    int              `json:"nprocs"`
-	Focus     int              `json:"focus"`
-	Seed      int64            `json:"seed"`
-	TimeoutMS int64            `json:"timeout_ms,omitempty"`
-	MaxTicks  int64            `json:"max_ticks,omitempty"`
-	Reduction bool             `json:"reduction,omitempty"`
-	OneWay    bool             `json:"one_way,omitempty"`
-	TraceHint int              `json:"trace_hint,omitempty"`
-	Inputs    map[string]int64 `json:"inputs,omitempty"`
-	Params    map[string]int64 `json:"params,omitempty"`
-
-	// Schedules and MatchOrder (protocol v2) carry the schedule-space
-	// dimension across the pipe: quiescent wildcard matching on, and the
-	// per-rank match directives for this iteration (empty = default order).
-	Schedules  bool    `json:"schedules,omitempty"`
-	MatchOrder [][]int `json:"match_order,omitempty"`
-}
-
-// Branch carries one rank's branch events: the conc.Log wire encoding
-// (base64 inside JSON), exactly the bytes the in-process runtime hands the
-// engine, so coverage and the focus constraint path survive the pipe
-// unchanged.
-type Branch struct {
-	Iter int    `json:"iter"`
-	Rank int    `json:"rank"`
-	Log  []byte `json:"log"`
-}
-
-// ErrorEvent reports one rank's abnormal end: the mpi.RankStatus enum value
-// (1 crash, 2 hang, 3 aborted, 4 deadlock), the exit code, and the error
-// message the in-process runtime would have recorded — the engine's
-// error-dedup key. For deadlocks the message names the wait-for cycle.
-type ErrorEvent struct {
-	Iter   int    `json:"iter"`
-	Rank   int    `json:"rank"`
-	Status int    `json:"status"`
-	Exit   int    `json:"exit,omitempty"`
-	Msg    string `json:"msg,omitempty"`
-}
-
-// Done ends one iteration; elapsed is the target-side wall clock.
-type Done struct {
-	Iter      int   `json:"iter"`
-	ElapsedUS int64 `json:"elapsed_us,omitempty"`
-}
-
 // validate checks the type tag is known and its payload present.
 func (f *Frame) validate() error {
-	var ok bool
-	switch f.Type {
-	case FrameHandshake:
-		ok = f.Handshake != nil
-	case FrameAssign:
-		ok = f.Assign != nil
-	case FrameBranch:
-		ok = f.Branch != nil
-	case FrameError:
-		ok = f.Error != nil
-	case FrameDone:
-		ok = f.Done != nil
-	default:
+	if f.Type != FrameHandshake {
 		return fmt.Errorf("proto: unknown frame type %q", f.Type)
 	}
-	if !ok {
+	if f.Handshake == nil {
 		return fmt.Errorf("proto: %q frame without its payload", f.Type)
 	}
 	return nil
@@ -210,30 +134,41 @@ func WriteRaw(w io.Writer, payload []byte) error {
 // off mid-way is io.ErrUnexpectedEOF. The length prefix is bounds-checked
 // before the payload buffer is allocated, so corrupt input cannot force huge
 // allocations.
-func ReadRaw(r io.Reader) ([]byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+func ReadRaw(r io.Reader) ([]byte, error) { return readRaw(r, nil) }
+
+// readRaw is ReadRaw reading into buf's storage when it is large enough, so
+// a reader of many frames can reuse one buffer. The returned payload aliases
+// that storage until the next call.
+func readRaw(r io.Reader, buf []byte) ([]byte, error) {
+	if cap(buf) < 4 {
+		buf = make([]byte, 4)
+	}
+	hdr := buf[:4]
+	if _, err := io.ReadFull(r, hdr); err != nil {
 		if err == io.ErrUnexpectedEOF {
 			return nil, fmt.Errorf("proto: truncated length prefix: %w", err)
 		}
 		return nil, err
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
+	n := binary.BigEndian.Uint32(hdr)
 	if n == 0 {
 		return nil, fmt.Errorf("proto: zero-length frame")
 	}
 	if n > MaxFrameBytes {
 		return nil, fmt.Errorf("proto: frame of %d bytes exceeds limit %d", n, MaxFrameBytes)
 	}
-	payload := make([]byte, n)
+	if uint32(cap(buf)) < n {
+		buf = make([]byte, n)
+	}
+	payload := buf[:n]
 	if m, err := io.ReadFull(r, payload); err != nil {
 		return nil, fmt.Errorf("proto: truncated frame payload (%d of %d bytes): %w", m, n, err)
 	}
 	return payload, nil
 }
 
-// EncodeFrame serializes f to its wire form: 4-byte big-endian payload
-// length, then the JSON payload.
+// EncodeFrame serializes the JSON frame f to its wire form: 4-byte
+// big-endian payload length, then the JSON payload.
 func EncodeFrame(f Frame) ([]byte, error) {
 	if err := f.validate(); err != nil {
 		return nil, err

@@ -5,11 +5,9 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"time"
 
 	"repro/internal/conc"
 	"repro/internal/core"
-	"repro/internal/mpi"
 	"repro/internal/target"
 )
 
@@ -20,10 +18,11 @@ const maxServeProcs = 1024
 
 // Serve is the target side of the protocol: it turns the calling process
 // into a drivable COMPI target for prog. It writes the handshake to w, then
-// serves assign-inputs frames from r until EOF — each one executed through
-// the same in-process backend the engine uses locally, with one variable
-// space held for the whole session so symbolic variable IDs stay stable
-// across iterations exactly as they do in-process.
+// serves assign frames from r until EOF — each one executed through the same
+// in-process backend the engine uses locally, with one variable space held
+// for the whole session so symbolic variable IDs stay stable across
+// iterations exactly as they do in-process — and answers each with one rank
+// frame per rank, flushed together.
 //
 // Any Go binary linking internal/conc-instrumented code can expose itself:
 // build a target.Program (or look one up in the registry) and call
@@ -51,76 +50,45 @@ func Serve(r io.Reader, w io.Writer, prog *target.Program) error {
 	defer backend.Close()
 
 	br := bufio.NewReaderSize(r, 1<<16)
+	var in, out []byte // frame buffers, reused across iterations
 	for {
-		f, err := ReadFrame(br)
+		in, err = readRaw(br, in)
 		if errors.Is(err, io.EOF) {
 			return nil // driver closed the session
 		}
 		if err != nil {
-			return fmt.Errorf("proto: reading frame: %w", err)
+			return fmt.Errorf("proto: reading assign frame: %w", err)
 		}
-		if f.Type != FrameAssign {
-			return fmt.Errorf("proto: unexpected %q frame from driver", f.Type)
-		}
-		a := f.Assign
-		if a.NProcs < 1 || a.NProcs > maxServeProcs {
-			return fmt.Errorf("proto: assign-inputs with nprocs %d (want 1..%d)", a.NProcs, maxServeProcs)
-		}
-		if a.Focus < 0 || a.Focus >= a.NProcs {
-			return fmt.Errorf("proto: assign-inputs with focus %d outside 0..%d", a.Focus, a.NProcs-1)
-		}
-
-		run := backend.Launch(core.LaunchSpec{
-			Iter:       a.Iter,
-			NProcs:     a.NProcs,
-			Focus:      a.Focus,
-			Inputs:     a.Inputs,
-			Params:     a.Params,
-			Seed:       a.Seed,
-			Timeout:    time.Duration(a.TimeoutMS) * time.Millisecond,
-			MaxTicks:   a.MaxTicks,
-			Reduction:  a.Reduction,
-			OneWay:     a.OneWay,
-			TraceHint:  a.TraceHint,
-			Schedules:  a.Schedules,
-			MatchOrder: a.MatchOrder,
-		})
-
-		for _, rr := range run.Ranks {
-			if rr.Log == nil {
-				continue // hard hang: the rank never produced a log
-			}
-			err := WriteFrame(bw, Frame{Type: FrameBranch, Branch: &Branch{
-				Iter: a.Iter, Rank: rr.Rank, Log: rr.Log.Encode(),
-			}})
-			if err != nil {
-				return fmt.Errorf("proto: writing branch-event: %w", err)
-			}
-		}
-		for _, rr := range run.Ranks {
-			if rr.Status == mpi.StatusOK && rr.Exit == 0 {
-				continue
-			}
-			msg := ""
-			if rr.Err != nil {
-				msg = rr.Err.Error()
-			}
-			err := WriteFrame(bw, Frame{Type: FrameError, Error: &ErrorEvent{
-				Iter: a.Iter, Rank: rr.Rank, Status: int(rr.Status),
-				Exit: rr.Exit, Msg: msg,
-			}})
-			if err != nil {
-				return fmt.Errorf("proto: writing error frame: %w", err)
-			}
-		}
-		err = WriteFrame(bw, Frame{Type: FrameDone, Done: &Done{
-			Iter: a.Iter, ElapsedUS: run.Elapsed.Microseconds(),
-		}})
-		if err == nil {
-			err = bw.Flush()
-		}
+		s, err := decodeAssign(in)
 		if err != nil {
-			return fmt.Errorf("proto: writing iteration-done: %w", err)
+			return err
+		}
+		if s.NProcs < 1 || s.NProcs > maxServeProcs {
+			return fmt.Errorf("proto: assign frame with nprocs %d (want 1..%d)", s.NProcs, maxServeProcs)
+		}
+		if s.Focus < 0 || s.Focus >= s.NProcs {
+			return fmt.Errorf("proto: assign frame with focus %d outside 0..%d", s.Focus, s.NProcs-1)
+		}
+
+		run := backend.Launch(s)
+		for _, rr := range run.Ranks {
+			f := rankFrame{status: rr.Status, exit: rr.Exit}
+			if rr.Err != nil {
+				f.msg = rr.Err.Error()
+			}
+			out = appendRank(appendFrameHeader(out[:0]), f)
+			if rr.Log != nil { // nil after a hard hang: the rank never produced a log
+				out = rr.Log.AppendEncode(out)
+			}
+			if err := endFrame(out); err != nil {
+				return fmt.Errorf("proto: writing rank %d: %w", rr.Rank, err)
+			}
+			if _, err := bw.Write(out); err != nil {
+				return fmt.Errorf("proto: writing rank %d: %w", rr.Rank, err)
+			}
+		}
+		if err := bw.Flush(); err != nil {
+			return fmt.Errorf("proto: writing rank frames: %w", err)
 		}
 	}
 }

@@ -56,6 +56,12 @@ go test ./...
 echo "== go test -race ./internal/proto =="
 go test -race ./internal/proto
 
+echo "== fuzz the pipe frame decoders (10s) =="
+# FuzzDecodeFrame feeds arbitrary bytes to the JSON handshake reader and the
+# binary assign and rank decoders; a crash or a non-identical re-encoding
+# fails the step.
+go test ./internal/proto -run '^$' -fuzz '^FuzzDecodeFrame$' -fuzztime 10s
+
 echo "== go test -race ./internal/target/... =="
 go test -race ./internal/target/...
 
@@ -264,8 +270,11 @@ echo "== engine throughput trajectory (BENCH_engine.json) =="
 # profiling off and on (the pair doubles as the disabled-profiler overhead
 # pin), plus the 150-iteration SUSY-HMC campaign that runs past the DFS phase
 # and the live-solve layer benchmark replaying that campaign's solver calls.
-go test -run '^$' -bench 'BenchmarkEngine|BenchmarkSolveIncremental' -benchtime 5x . \
-  | "$BIN_DIR/compi-bench" -out BENCH_engine.json
+# The pipe-launch layer benchmark times one launch (~0.1 ms), so it runs 2000.
+{
+  go test -run '^$' -bench 'BenchmarkEngine|BenchmarkSolveIncremental' -benchtime 5x .
+  go test -run '^$' -bench 'BenchmarkPipeLaunch' -benchtime 2000x .
+} | "$BIN_DIR/compi-bench" -out BENCH_engine.json
 echo "wrote BENCH_engine.json"
 
 echo "== store service trajectory (BENCH_store.json) =="
