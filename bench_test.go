@@ -343,6 +343,86 @@ func benchLaunch(b *testing.B, be core.Backend, s core.LaunchSpec) {
 	b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N), "us/launch")
 }
 
+// BenchmarkMPI is the MPI runtime layer benchmark, over the public
+// mpi.Launch with Light ranks. "pingpong" is one two-rank Send/Recv round
+// trip, "allreduce8" one eight-rank Allreduce, and "wildcard3" one round of
+// a three-rank fan-in under Schedules, whose two wildcard receives both match
+// at quiescence; each runs b.N operations inside one launch. "launch8" is one
+// launch of eight ranks that return at once.
+func BenchmarkMPI(b *testing.B) {
+	b.Run("pingpong", func(b *testing.B) {
+		benchMPI(b, 2, false, func(p *mpi.Proc) {
+			w, buf := p.World(), []float64{1}
+			for i := 0; i < b.N; i++ {
+				if p.Rank() == 0 {
+					p.Send(w, 1, 0, buf)
+					p.Recv(w, 1, 0)
+				} else {
+					p.Recv(w, 0, 0)
+					p.Send(w, 0, 0, buf)
+				}
+			}
+		})
+	})
+	b.Run("allreduce8", func(b *testing.B) {
+		benchMPI(b, 8, false, func(p *mpi.Proc) {
+			w, buf := p.World(), []float64{1}
+			for i := 0; i < b.N; i++ {
+				p.Allreduce(w, mpi.OpSum, buf)
+			}
+		})
+	})
+	b.Run("wildcard3", func(b *testing.B) {
+		benchMPI(b, 3, true, func(p *mpi.Proc) {
+			w := p.World()
+			for i := 0; i < b.N; i++ {
+				if p.Rank() != 0 {
+					p.Send(w, 0, 1, nil)
+					p.Recv(w, 0, 2)
+					continue
+				}
+				p.Recv(w, mpi.AnySource, 1)
+				p.Recv(w, mpi.AnySource, 1)
+				p.Send(w, 1, 2, nil)
+				p.Send(w, 2, 2, nil)
+			}
+		})
+	})
+	b.Run("launch8", func(b *testing.B) {
+		spec := mpiSpec(8, false, func(*mpi.Proc) int { return 0 })
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if res := mpi.Launch(spec); res.Failed() {
+				b.Fatalf("launch %d failed: %+v", i, res.Ranks)
+			}
+		}
+	})
+}
+
+// mpiSpec is a launch of n Light ranks running main.
+func mpiSpec(n int, schedules bool, main func(*mpi.Proc) int) mpi.Spec {
+	return mpi.Spec{
+		NProcs:    n,
+		Main:      main,
+		Conc:      func(int) conc.Config { return conc.Config{Mode: conc.Light} },
+		Timeout:   time.Minute,
+		Schedules: schedules,
+	}
+}
+
+// benchMPI runs body on n Light ranks in one launch; body performs the b.N
+// operations being timed.
+func benchMPI(b *testing.B, n int, schedules bool, body func(*mpi.Proc)) {
+	b.ReportAllocs()
+	res := mpi.Launch(mpiSpec(n, schedules, func(p *mpi.Proc) int {
+		body(p)
+		return 0
+	}))
+	if fe, failed := res.FirstError(); failed {
+		b.Fatalf("rank %d: %v (exit %d): %v", fe.Rank, fe.Status, fe.Exit, fe.Err)
+	}
+}
+
 // benchQueryStore builds a store with synthetic indexed campaigns spread
 // over a handful of targets, a third of them carrying a deadlock error.
 func benchQueryStore(b *testing.B, campaigns int) *store.Store {

@@ -3,7 +3,7 @@ package conc
 import (
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 	"time"
 
 	"repro/internal/expr"
@@ -491,12 +491,12 @@ func (p *Proc) Log() *Log {
 	for b := range p.covered {
 		covered = append(covered, b)
 	}
-	sort.Slice(covered, func(i, j int) bool { return covered[i] < covered[j] })
+	slices.Sort(covered)
 	funcs := make([]string, 0, len(p.funcsHit))
 	for f := range p.funcsHit {
 		funcs = append(funcs, f)
 	}
-	sort.Strings(funcs)
+	slices.Sort(funcs)
 	l := &Log{
 		Mode:     p.cfg.Mode,
 		Rank:     p.rank,

@@ -61,7 +61,7 @@ type LaunchSpec struct {
 
 // Backend abstracts how one test iteration is executed. The engine computes
 // what to run (a LaunchSpec); the backend decides where: in this process as
-// goroutine ranks (the default), or in a separate target process driven over
+// coroutine ranks (the default), or in a separate target process driven over
 // a pipe protocol (internal/proto). The engine is otherwise agnostic — it
 // consumes the returned per-rank logs and statuses identically.
 //
@@ -81,16 +81,16 @@ type Backend interface {
 	Close() error
 }
 
-// inProcess is the default backend: ranks launched as goroutines in this
-// process through the simulated MPI runtime, sharing the engine's variable
-// space with each focus process.
+// inProcess is the default backend: ranks run as coroutines under one
+// scheduler in this process through the simulated MPI runtime, sharing the
+// engine's variable space with each focus process.
 type inProcess struct {
 	main func(*mpi.Proc) int
 	vars *conc.VarSpace
 }
 
 // NewInProcess returns the default execution backend for prog: every
-// iteration is one mpi.Launch of goroutine ranks inside this process. vars
+// iteration is one mpi.Launch of coroutine ranks inside this process. vars
 // is the campaign variable space shared with each focus process (stable
 // symbolic variable IDs across iterations); internal/proto's Serve loop uses
 // this same backend on the target side of the pipe, which is what makes

@@ -262,14 +262,15 @@ func TestFleetFaultyWorkersReclaimed(t *testing.T) {
 			}()
 
 			// Wait until the faulty worker actually holds a lease (its name
-			// shows in the status) or already lost one (a reclaim happened —
-			// no other worker exists yet, so it must have leased first). Only
-			// then may the healthy workers start, so the faulty one cannot be
-			// starved of shards.
+			// shows in a leased shard's "worker=N(name)"; the workers list
+			// names it from the handshake on) or already lost one (a reclaim
+			// happened — no other worker exists yet, so it must have leased
+			// first). Only then may the healthy workers start, so the faulty
+			// one cannot be starved of shards.
 			deadline := time.Now().Add(30 * time.Second)
 			for {
 				st := c.StatusText()
-				if strings.Contains(st, mode) || strings.Contains(st, "reclaims=") {
+				if strings.Contains(st, "("+mode+")") || strings.Contains(st, "reclaims=") {
 					break
 				}
 				if time.Now().After(deadline) {

@@ -2,12 +2,12 @@ package mpi
 
 import (
 	"fmt"
+	"slices"
 	"strings"
-	"sync"
 )
 
 // ErrDeadlock is the panic value raised in ranks that are permanently stuck
-// in a wait-for cycle the moment the detector proves no rank can ever make
+// in a wait-for cycle the moment the scheduler proves no rank can ever make
 // progress. Desc carries the canonical cycle description, so every rank in
 // the same deadlock produces the same dedup key modulo its own rank prefix.
 type ErrDeadlock struct {
@@ -20,184 +20,90 @@ func (e *ErrDeadlock) Error() string {
 	return fmt.Sprintf("rank %d: deadlock: %s", e.Rank, e.Desc)
 }
 
-// waitState is one rank's position in the wait-for graph.
+// waitState is one rank's place in the scheduler.
 type waitState uint8
 
 const (
-	waitRunning waitState = iota
-	waitBlocked
-	waitDone
+	waitRunnable waitState = iota // running, or ready to resume
+	waitBlocked                   // parked in a receive
+	waitDone                      // its coroutine has returned
 )
 
-// rankWait is one rank's current receive, while blocked.
+// rankWait is one rank's scheduling state and, while it is blocked, the
+// receive it waits in.
 type rankWait struct {
-	state    waitState
-	wild     bool
-	srcLocal int // awaited local source rank (when !wild)
-	tag      int
-	comm     int
-	awaited  []int // global ranks whose send could unblock this receive
-	granted  bool  // quiescence match grant issued (schedule mode, wildcard)
+	state   waitState
+	comm    *Comm
+	src     int // awaited local source rank, or AnySource
+	tag     int
+	granted bool // a quiescent wildcard match is granted (Schedules)
 }
 
-// detector maintains the wait-for graph over blocked ranks and, in schedule
-// mode, serializes wildcard matching: a wildcard receive only matches when
-// every other live rank is blocked or finished (quiescence), which makes the
-// eligible set complete and deterministic — the lazy-matching discipline of
-// MPISE/MPI-SV. The same bookkeeping proves deadlocks: the moment every live
-// rank is blocked and no queued message can satisfy any of them, the job is
-// permanently stuck, because sends are buffered and never block.
-type detector struct {
-	mu     sync.Mutex
-	rt     *Runtime
-	sched  bool
-	order  [][]int // per-global-rank wildcard match directives
-	cursor []int   // next directive index per rank
-	waits  []rankWait
-	live   int
-
-	unclean bool // a rank exited abnormally: the job is failing anyway
-	fired   bool
-	stuck   []bool // ranks blocked at fire time
-	cycle   []int
-	desc    string
-
-	seq int // global choice-point sequence, ordering grants across ranks
-}
-
-func newDetector(rt *Runtime, sched bool, order [][]int) *detector {
-	return &detector{
-		rt:     rt,
-		sched:  sched,
-		order:  order,
-		cursor: make([]int, rt.nprocs),
-		waits:  make([]rankWait, rt.nprocs),
-		live:   rt.nprocs,
+// wakes reports whether msg, just queued in this rank's mailbox, satisfies
+// the receive the rank is blocked in. Under Schedules a wildcard receive
+// matches only at quiescence, so no send wakes it.
+func (w *rankWait) wakes(msg message, sched bool) bool {
+	if w.state != waitBlocked || !matches(msg, w.src, w.tag, w.comm.id) {
+		return false
 	}
+	return w.src != AnySource || !sched
 }
 
-// block registers rank as blocked on a receive and re-evaluates the graph.
-// awaited must be sorted ascending for canonical cycle extraction.
-func (d *detector) block(rank int, wild bool, srcLocal, tag, comm int, awaited []int) {
-	d.mu.Lock()
-	w := &d.waits[rank]
-	w.state = waitBlocked
-	w.wild = wild
-	w.srcLocal = srcLocal
-	w.tag = tag
-	w.comm = comm
-	w.awaited = awaited
-	d.check()
-	d.mu.Unlock()
-}
-
-// unblock marks rank as running again. An un-consumed grant survives: the
-// grantee clears it when it actually matches.
-func (d *detector) unblock(rank int) {
-	d.mu.Lock()
-	d.waits[rank].state = waitRunning
-	d.mu.Unlock()
-}
-
-// finish retires rank from the graph. clean is false when the rank panicked
-// or returned a non-zero exit: a failing job cancels itself, so the detector
-// stands down rather than misreport collateral blocking as a deadlock.
-func (d *detector) finish(rank int, clean bool) {
-	d.mu.Lock()
-	d.waits[rank].state = waitDone
-	d.live--
-	if !clean {
-		d.unclean = true
-	}
-	d.check()
-	d.mu.Unlock()
-}
-
-// deadlockErr returns the rank's share of a detected deadlock, or nil.
-func (d *detector) deadlockErr(rank int) error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if !d.fired || !d.stuck[rank] {
-		return nil
-	}
-	return &ErrDeadlock{Rank: rank, Cycle: d.cycle, Desc: d.desc}
-}
-
-// check runs with d.mu held after every block/finish transition. When all
-// live ranks are blocked it decides: wake (a satisfiable specific match),
-// grant (schedule mode: lowest-rank wildcard waiter with candidates), or
-// fire (provable deadlock).
-func (d *detector) check() {
-	if d.fired || d.unclean || d.live == 0 {
-		return
-	}
-	blocked := 0
-	for i := range d.waits {
-		if d.waits[i].state == waitBlocked {
-			blocked++
-		}
-	}
-	if blocked != d.live {
-		return
-	}
-	grant := -1
-	for r := range d.waits {
-		w := &d.waits[r]
-		if w.state != waitBlocked {
-			continue
-		}
-		if w.granted {
-			return // an outstanding grant will wake r
-		}
-		if w.wild && d.sched {
-			if grant < 0 && d.rt.mbox[r].hasMatch(AnySource, w.tag, w.comm) {
-				grant = r
+// quiesce runs when no rank is runnable and some are blocked. A send wakes
+// every receive it satisfies, so each blocked receive is one no queued
+// message can satisfy, except, under Schedules, a wildcard receive: those
+// match only here, where the eligible set is complete and deterministic (the
+// lazy-matching discipline of MPISE/MPI-SV). quiesce grants the lowest-rank
+// wildcard receive with a candidate; failing that, the job is permanently
+// stuck, because sends are buffered and never block, and quiesce proves the
+// deadlock.
+func (rt *Runtime) quiesce() {
+	if rt.sched {
+		for r := range rt.waits {
+			w := &rt.waits[r]
+			if w.state == waitBlocked && w.src == AnySource && rt.mbox[r].hasMatch(AnySource, w.tag, w.comm.id) {
+				w.state, w.granted = waitRunnable, true
+				return
 			}
-			continue
-		}
-		src := w.srcLocal
-		if w.wild {
-			src = AnySource
-		}
-		if d.rt.mbox[r].hasMatch(src, w.tag, w.comm) {
-			return // r holds a pending notify token and will match
 		}
 	}
-	if grant >= 0 {
-		d.waits[grant].granted = true
-		d.rt.mbox[grant].wake()
-		return
-	}
-	d.fire()
+	rt.cycle, rt.desc = rt.buildCycle()
+	rt.stop(false)
 }
 
-// fire records the deadlock (with d.mu held) and cancels the job; blocked
-// ranks unwind through ErrDeadlock instead of burning the watchdog budget.
-func (d *detector) fire() {
-	d.fired = true
-	d.stuck = make([]bool, len(d.waits))
-	for r := range d.waits {
-		d.stuck[r] = d.waits[r].state == waitBlocked
+// stopErr is the panic value of a rank whose receive cannot complete in a
+// stopped job: its share of a proven deadlock, or ErrStopped. Every rank
+// alive when a deadlock is proven is blocked in it.
+func (rt *Runtime) stopErr(rank int) error {
+	if rt.cycle != nil {
+		return &ErrDeadlock{Rank: rank, Cycle: rt.cycle, Desc: rt.desc}
 	}
-	d.cycle, d.desc = d.buildCycle()
-	d.rt.cancel()
+	return &ErrStopped{Rank: rank}
+}
+
+// awaited lists the global ranks whose send could satisfy blocked rank r's
+// receive — its outgoing wait-for edges, sorted ascending.
+func (rt *Runtime) awaited(r int) []int {
+	w := &rt.waits[r]
+	if w.src != AnySource {
+		return []int{w.comm.GlobalOf(w.src)}
+	}
+	out := make([]int, 0, w.comm.Size()-1)
+	for _, g := range w.comm.ranks {
+		if g != r {
+			out = append(out, g)
+		}
+	}
+	slices.Sort(out)
+	return out
 }
 
 // buildCycle walks the wait-for graph from the lowest blocked rank, always
 // following the smallest blocked awaited rank, until it revisits a node (a
 // cycle) or reaches a rank awaiting only exited peers (a stuck chain). The
 // walk is deterministic, so the description is a stable dedup key.
-func (d *detector) buildCycle() ([]int, string) {
-	start := -1
-	for r := range d.waits {
-		if d.waits[r].state == waitBlocked {
-			start = r
-			break
-		}
-	}
-	if start < 0 {
-		return nil, "no blocked ranks"
-	}
+func (rt *Runtime) buildCycle() ([]int, string) {
+	start := slices.IndexFunc(rt.waits, func(w rankWait) bool { return w.state == waitBlocked })
 	pos := map[int]int{}
 	var path []int
 	cur := start
@@ -208,16 +114,17 @@ func (d *detector) buildCycle() ([]int, string) {
 		}
 		pos[cur] = len(path)
 		path = append(path, cur)
+		awaited := rt.awaited(cur)
 		next := -1
-		for _, a := range d.waits[cur].awaited {
-			if a != cur && d.waits[a].state == waitBlocked {
+		for _, a := range awaited {
+			if a != cur && rt.waits[a].state == waitBlocked {
 				next = a
 				break
 			}
 		}
 		if next < 0 {
 			return append([]int(nil), path...),
-				fmt.Sprintf("rank %d waits on exited peer(s) %v", cur, d.waits[cur].awaited)
+				fmt.Sprintf("rank %d waits on exited peer(s) %v", cur, awaited)
 		}
 		cur = next
 	}
@@ -242,47 +149,25 @@ type wildMatch struct {
 	seq    int
 }
 
-// takeGranted consumes an outstanding quiescence grant for rank: it computes
-// the (stable, complete) candidate set, picks the directed or default index,
-// and removes the chosen message. ok is false when no grant is pending.
-// Lock order is detector.mu then mailbox.mu, matching check's peeks.
-func (d *detector) takeGranted(rank, tag, comm int) (wildMatch, bool) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	w := &d.waits[rank]
-	if !w.granted {
-		return wildMatch{}, false
-	}
-	w.granted = false
-	mb := d.rt.mbox[rank]
+// takeGranted consumes rank's quiescent wildcard grant: it computes the
+// candidate set, complete because every other live rank is blocked or
+// finished, picks the directed or default index, and removes the chosen
+// message.
+func (rt *Runtime) takeGranted(rank, tag, comm int) wildMatch {
+	rt.waits[rank].granted = false
+	mb := &rt.mbox[rank]
 	srcs := mb.candidateSources(tag, comm)
-	if len(srcs) == 0 {
-		// Unreachable by construction (grants require a candidate), but a
-		// fuzzer-visible invariant: fall back to blocking again.
-		return wildMatch{}, false
-	}
 	choice := 0
 	var seq int
 	if len(srcs) > 1 {
-		if rank < len(d.order) && d.cursor[rank] < len(d.order[rank]) {
-			choice = d.order[rank][d.cursor[rank]]
-			if choice < 0 {
-				choice = 0
-			}
-			if choice >= len(srcs) {
-				choice = len(srcs) - 1
-			}
+		if rank < len(rt.order) && rt.cursor[rank] < len(rt.order[rank]) {
+			choice = min(max(rt.order[rank][rt.cursor[rank]], 0), len(srcs)-1)
 		}
-		d.cursor[rank]++
-		seq = d.seq
-		d.seq++
+		rt.cursor[rank]++
+		seq = rt.seq
+		rt.seq++
 	}
-	msg, ok := mb.take(srcs[choice], tag, comm)
-	if !ok {
-		// candidateSources and take see the same queue under mb.mu; a miss
-		// here would mean the queue changed under detector.mu, which only
-		// the owner (this rank) can do.
-		panic(fmt.Sprintf("mpi: granted wildcard match lost its candidate (rank %d tag %d comm %d)", rank, tag, comm))
-	}
-	return wildMatch{msg: msg, srcs: srcs, choice: choice, seq: seq}, true
+	// The take cannot miss: srcs was just read off this queue.
+	msg, _ := mb.take(srcs[choice], tag, comm)
+	return wildMatch{msg: msg, srcs: srcs, choice: choice, seq: seq}
 }

@@ -2,7 +2,6 @@ package mpi
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"repro/internal/conc"
@@ -121,78 +120,17 @@ type Spec struct {
 	MatchOrder [][]int
 }
 
-// Launch runs one test iteration: it starts NProcs ranks, waits for them all
-// (or the watchdog), and collects per-rank statuses and logs.
+// Launch runs one test iteration: it runs NProcs ranks under one scheduler
+// until they have all returned (or the watchdog expires), and collects
+// per-rank statuses and logs.
 func Launch(spec Spec) RunResult {
 	if spec.Timeout == 0 {
 		spec.Timeout = time.Minute
 	}
 	start := time.Now()
 	rt := newRuntime(spec.NProcs, spec.Schedules, spec.MatchOrder)
-	cancelCause := &causeTracker{}
-
-	results := make([]RankResult, spec.NProcs)
-	var resMu sync.Mutex
-	var wg sync.WaitGroup
-
-	for rank := 0; rank < spec.NProcs; rank++ {
-		wg.Add(1)
-		go func(rank int) {
-			defer wg.Done()
-			cfg := spec.Conc(rank)
-			var vars *conc.VarSpace
-			if cfg.Mode == conc.Heavy {
-				if spec.VarsFor != nil {
-					vars = spec.VarsFor(rank)
-				} else {
-					vars = spec.Vars
-				}
-			}
-			cp := conc.NewProc(rank, vars, spec.Inputs, cfg)
-			p := &Proc{rt: rt, rank: rank, CC: cp}
-			world := &Comm{id: 0, world: true, local: rank, concIdx: -1}
-			world.ranks = make([]int, spec.NProcs)
-			for i := range world.ranks {
-				world.ranks[i] = i
-			}
-			p.world = world
-
-			res := RankResult{Rank: rank}
-			func() {
-				defer func() {
-					if r := recover(); r != nil {
-						res.Status, res.Err = classify(rank, r, cancelCause)
-						// A primary failure stops the whole job, as a
-						// crashed rank does under a real MPI launcher.
-						if res.Status == StatusCrash || res.Status == StatusHang {
-							cancelCause.set(causePeer)
-							rt.cancel()
-						}
-					}
-				}()
-				res.Exit = spec.Main(p)
-				if res.Exit != 0 {
-					cancelCause.set(causePeer)
-					rt.cancel()
-				}
-			}()
-			// Retire the rank from the wait-for graph. An unclean finish
-			// stands the detector down: the job is already failing and
-			// collateral blocking must keep reporting as Aborted.
-			rt.det.finish(rank, res.Status == StatusOK && res.Err == nil && res.Exit == 0)
-			res.Log = cp.Log()
-			res.LogBytes = res.Log.EncodedSize()
-			resMu.Lock()
-			results[rank] = res
-			resMu.Unlock()
-		}(rank)
-	}
-
 	finished := make(chan struct{})
-	go func() {
-		wg.Wait()
-		close(finished)
-	}()
+	go rt.run(&spec, finished)
 
 	// The watchdog is stopped as soon as the ranks finish: a pending timer
 	// stays in memory until it fires, and campaigns launch far more often
@@ -202,60 +140,138 @@ func Launch(spec Spec) RunResult {
 	select {
 	case <-finished:
 	case <-watchdog.C:
-		cancelCause.set(causeTimeout)
-		rt.cancel()
-		// Grace period for blocked ranks to unwind through ErrStopped.
+		// The scheduler stops the job at its next switch; blocked ranks
+		// then unwind through ErrStopped as hangs.
+		close(rt.done)
 		select {
 		case <-finished:
 		case <-time.After(5 * time.Second):
-			// A rank is stuck in an uninstrumented loop; report it as a
-			// hang without waiting further.
+			// A rank is stuck in an uninstrumented loop and never
+			// yields; abandon the scheduler and report it as a hang.
 		}
 	}
 
-	resMu.Lock()
+	rt.resMu.Lock()
 	out := make([]RankResult, spec.NProcs)
-	copy(out, results)
-	resMu.Unlock()
+	copy(out, rt.results)
+	rt.resMu.Unlock()
 	for i := range out {
 		if out[i].Log == nil {
-			// Unfilled slot: the rank is still stuck past the grace period.
+			// Unfilled slot: the rank never returned.
 			out[i] = RankResult{Rank: i, Status: StatusHang, Err: &conc.ErrHang{Rank: i}}
 		}
-		out[i].Rank = i
 	}
 	return RunResult{Ranks: out, Elapsed: time.Since(start)}
 }
 
-type cancelCauseKind uint8
-
-const (
-	causeNone cancelCauseKind = iota
-	causePeer
-	causeTimeout
-)
-
-type causeTracker struct {
-	mu sync.Mutex
-	k  cancelCauseKind
-}
-
-func (c *causeTracker) set(k cancelCauseKind) {
-	c.mu.Lock()
-	if c.k == causeNone {
-		c.k = k
+// run is the scheduler. It starts every rank as a coroutine, then resumes
+// runnable ranks in cyclic rank order, each until it blocks in a receive,
+// yields in a Test, or returns. When no rank is runnable and some are
+// blocked, quiesce grants a wildcard match or proves a deadlock.
+func (rt *Runtime) run(spec *Spec, finished chan<- struct{}) {
+	defer close(finished)
+	n := spec.NProcs
+	procs := make([]Proc, n)
+	worlds := make([]Comm, n)
+	resume := make([]func() bool, n)
+	ranks := make([]int, n)
+	for i := range ranks {
+		ranks[i] = i
 	}
-	c.mu.Unlock()
+	for r := range procs {
+		cfg := spec.Conc(r)
+		var vars *conc.VarSpace
+		if cfg.Mode == conc.Heavy {
+			if spec.VarsFor != nil {
+				vars = spec.VarsFor(r)
+			} else {
+				vars = spec.Vars
+			}
+		}
+		worlds[r] = Comm{id: 0, ranks: ranks, local: r, world: true, concIdx: -1}
+		p := &procs[r]
+		*p = Proc{rt: rt, rank: r, world: &worlds[r], CC: conc.NewProc(r, vars, spec.Inputs, cfg)}
+		resume[r] = newCoroutine(func(yield func()) {
+			p.yield = yield
+			defer func() {
+				if v := recover(); v != nil {
+					p.res.Status, p.res.Err = classify(p.rank, v, rt.timedOut)
+				}
+			}()
+			p.res.Exit = spec.Main(p)
+		})
+	}
+	for cur := n - 1; rt.live > 0; {
+		if !rt.stopped {
+			select {
+			case <-rt.done:
+				rt.stop(true)
+			default:
+			}
+		}
+		r := rt.next(cur)
+		if r < 0 {
+			rt.quiesce()
+			continue
+		}
+		cur = r
+		if !resume[r]() {
+			rt.finish(&procs[r])
+		}
+	}
 }
 
-func (c *causeTracker) get() cancelCauseKind {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.k
+// next returns the first runnable rank after cur in cyclic order, cur itself
+// last, or -1 when none is.
+func (rt *Runtime) next(cur int) int {
+	for i := 1; i <= rt.nprocs; i++ {
+		r := cur + i
+		if r >= rt.nprocs {
+			r -= rt.nprocs
+		}
+		if rt.waits[r].state == waitRunnable {
+			return r
+		}
+	}
+	return -1
+}
+
+// stop makes every blocked rank runnable; from now on a receive with no
+// queued match panics instead of blocking, so the blocked ranks unwind with
+// stopErr. A failed rank stops the job, as a crashed process does under a
+// real MPI launcher.
+func (rt *Runtime) stop(timedOut bool) {
+	if rt.stopped {
+		return
+	}
+	rt.stopped, rt.timedOut = true, timedOut
+	for r := range rt.waits {
+		if rt.waits[r].state == waitBlocked {
+			rt.waits[r].state = waitRunnable
+		}
+	}
+}
+
+// finish retires p once its coroutine has returned and publishes its result.
+// The log is built here, on the scheduler goroutine, whose stack has already
+// grown, rather than at the end of the rank's fresh coroutine.
+func (rt *Runtime) finish(p *Proc) {
+	rt.waits[p.rank].state = waitDone
+	rt.live--
+	res := p.res
+	if res.Status != StatusOK || res.Exit != 0 {
+		rt.stop(false)
+	}
+	res.Rank = p.rank
+	res.Log = p.CC.Log()
+	res.LogBytes = res.Log.EncodedSize()
+	rt.resMu.Lock()
+	rt.results[p.rank] = res
+	rt.resMu.Unlock()
 }
 
 // classify maps a recovered panic value to a rank status.
-func classify(rank int, r any, cause *causeTracker) (RankStatus, error) {
+func classify(rank int, r any, timedOut bool) (RankStatus, error) {
 	switch e := r.(type) {
 	case *conc.ErrHang:
 		return StatusHang, e
@@ -266,9 +282,9 @@ func classify(rank int, r any, cause *causeTracker) (RankStatus, error) {
 	case *ErrAbort:
 		return StatusAborted, e
 	case *ErrStopped:
-		// Blocked rank released by cancellation: a hang if the watchdog
-		// fired, collateral damage if a peer failed first.
-		if cause.get() == causeTimeout {
+		// A rank released by the stop: a hang if the watchdog fired,
+		// collateral damage if a peer failed first.
+		if timedOut {
 			return StatusHang, e
 		}
 		return StatusAborted, e

@@ -1,7 +1,5 @@
 package mpi
 
-import "sync"
-
 // message is one in-flight point-to-point payload.
 type message struct {
 	src  int
@@ -11,42 +9,19 @@ type message struct {
 }
 
 // mailbox is one rank's incoming message queue. Sends are buffered (always
-// complete immediately, as MPI permits for small messages); receives block
-// until a matching message arrives or the job is cancelled.
+// complete immediately, as MPI permits for small messages); a receive with no
+// queued match blocks its rank until a matching send makes it runnable again.
+// Only the rank the scheduler is running touches a mailbox, so it needs no
+// lock.
 type mailbox struct {
-	mu     sync.Mutex
-	queue  []message
-	notify chan struct{}
+	queue []message
 }
 
-func newMailbox() *mailbox {
-	return &mailbox{notify: make(chan struct{}, 1)}
-}
-
-func (m *mailbox) put(msg message) {
-	m.mu.Lock()
-	m.queue = append(m.queue, msg)
-	m.mu.Unlock()
-	select {
-	case m.notify <- struct{}{}:
-	default:
-	}
-}
-
-// wake sets the notify token without enqueueing anything; the detector uses
-// it to deliver a quiescence match grant to a blocked wildcard receiver.
-func (m *mailbox) wake() {
-	select {
-	case m.notify <- struct{}{}:
-	default:
-	}
-}
+func (m *mailbox) put(msg message) { m.queue = append(m.queue, msg) }
 
 // take removes and returns the first message matching (src, tag, comm);
 // src may be AnySource. ok is false when no match is queued.
 func (m *mailbox) take(src, tag, comm int) (message, bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	for i, msg := range m.queue {
 		if !matches(msg, src, tag, comm) {
 			continue
@@ -58,11 +33,8 @@ func (m *mailbox) take(src, tag, comm int) (message, bool) {
 }
 
 // hasMatch reports whether take(src, tag, comm) would succeed, without
-// consuming anything. The deadlock detector peeks with it while holding its
-// own lock (lock order: detector.mu, then mailbox.mu).
+// consuming anything.
 func (m *mailbox) hasMatch(src, tag, comm int) bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	for _, msg := range m.queue {
 		if matches(msg, src, tag, comm) {
 			return true
@@ -76,8 +48,6 @@ func (m *mailbox) hasMatch(src, tag, comm int) bool {
 // receive. Sorting by source (not queue position) keeps the set — and the
 // index space MatchOrder directives address — independent of arrival order.
 func (m *mailbox) candidateSources(tag, comm int) []int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	var srcs []int
 	for _, msg := range m.queue {
 		if msg.tag != tag || msg.comm != comm {

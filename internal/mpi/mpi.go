@@ -1,6 +1,11 @@
-// Package mpi is an in-process MPI runtime: one goroutine per rank,
-// point-to-point messaging with tag and source matching, the MPI-1
-// collectives the target applications need, and communicator splitting.
+// Package mpi is an in-process MPI runtime: every rank of a launch runs as a
+// coroutine under one scheduler, with point-to-point messaging with tag and
+// source matching, the MPI-1 collectives the target applications need, and
+// communicator splitting. A rank runs until it blocks in a receive, makes a
+// Test that finds nothing, or returns; then the next runnable rank resumes,
+// in cyclic rank order. So one launch uses one core, exactly one rank runs
+// at a time, and every match, wildcard receives included, is deterministic.
+// A rank's MPI calls must come from the goroutine its Main runs on.
 //
 // It stands in for mpiexec + OpenMPI in the paper's setup. The property that
 // matters to COMPI is MPMD launching: the focus rank runs a heavily
@@ -28,18 +33,33 @@ const AnySource = -1
 // internalTag is used by collective operations; user tags must be >= 0.
 const internalTag = -2
 
-// Runtime is one MPI job: the mailboxes, communicator table, and abort state
-// shared by all ranks.
+// Runtime is one MPI job: the scheduler state, the mailboxes and the
+// communicator table shared by all ranks. Only the scheduler goroutine and
+// the rank it is running touch it, one at a time, so none of it is locked;
+// results alone is shared with Launch, which may give up on a rank that
+// never yields.
 type Runtime struct {
 	nprocs int
-	mbox   []*mailbox
-	det    *detector
-	done   chan struct{}
-	once   sync.Once
+	mbox   []mailbox
+	waits  []rankWait
+	live   int // ranks whose coroutine has not returned
 
-	commMu   sync.Mutex
+	stopped  bool   // a rank failed, a deadlock was proven, or the watchdog expired
+	timedOut bool   // the watchdog stopped the job: its blocked ranks are hangs
+	cycle    []int  // the proven deadlock's wait-for cycle, nil if none
+	desc     string // and its canonical description
+
+	sched  bool
+	order  [][]int // per-global-rank wildcard match directives
+	cursor []int   // next directive index per rank
+	seq    int     // global choice-point sequence, ordering grants across ranks
+
 	commIDs  map[commKey]int
 	nextComm int
+
+	done    chan struct{} // closed by Launch when the watchdog expires
+	resMu   sync.Mutex
+	results []RankResult
 }
 
 type commKey struct {
@@ -52,29 +72,25 @@ type commKey struct {
 // schedule-space semantics (quiescent wildcard matching); order carries the
 // per-rank wildcard match directives to replay.
 func newRuntime(nprocs int, sched bool, order [][]int) *Runtime {
-	rt := &Runtime{
+	return &Runtime{
 		nprocs:   nprocs,
-		mbox:     make([]*mailbox, nprocs),
-		done:     make(chan struct{}),
+		mbox:     make([]mailbox, nprocs),
+		waits:    make([]rankWait, nprocs),
+		live:     nprocs,
+		sched:    sched,
+		order:    order,
+		cursor:   make([]int, nprocs),
 		commIDs:  map[commKey]int{},
 		nextComm: 1, // 0 is the world communicator
+		done:     make(chan struct{}),
+		results:  make([]RankResult, nprocs),
 	}
-	for i := range rt.mbox {
-		rt.mbox[i] = newMailbox()
-	}
-	rt.det = newDetector(rt, sched, order)
-	return rt
 }
-
-// cancel unblocks every pending operation; blocked ranks observe ErrStopped.
-func (rt *Runtime) cancel() { rt.once.Do(func() { close(rt.done) }) }
 
 // commIDFor deterministically assigns the same communicator ID to every
 // member of a split group, keyed by the parent communicator, the per-parent
 // split sequence number, and the color.
 func (rt *Runtime) commIDFor(parent, seq, color int) int {
-	rt.commMu.Lock()
-	defer rt.commMu.Unlock()
 	k := commKey{parent, seq, color}
 	if id, ok := rt.commIDs[k]; ok {
 		return id
@@ -85,8 +101,8 @@ func (rt *Runtime) commIDFor(parent, seq, color int) int {
 	return id
 }
 
-// ErrStopped is the panic value raised in ranks blocked on communication
-// when the job is cancelled (peer crash or watchdog timeout).
+// ErrStopped is the panic value raised in ranks whose receive cannot complete
+// because the job has stopped (peer failure or watchdog timeout).
 type ErrStopped struct{ Rank int }
 
 func (e *ErrStopped) Error() string {
@@ -130,6 +146,9 @@ type Proc struct {
 	rank  int
 	world *Comm
 	CC    *conc.Proc
+
+	yield func()     // suspends this rank's coroutine
+	res   RankResult // the outcome, as far as the rank itself can tell
 }
 
 // Rank returns the concrete global rank.
@@ -163,7 +182,6 @@ func (p *Proc) CommSize(c *Comm, site string) conc.Value {
 
 // Abort is MPI_Abort: it terminates the whole job.
 func (p *Proc) Abort(code int) {
-	p.rt.cancel()
 	panic(&ErrAbort{Rank: p.rank, Code: code})
 }
 

@@ -61,16 +61,24 @@ func (r *Request) Status() Status { return r.status }
 func (r *Request) Done() bool { return r.done }
 
 // Test is the nonblocking completion probe, like MPI_Test: it completes a
-// receive if a matching message is already queued, without blocking.
+// receive if a matching message is already queued. If none is, it yields so
+// the other runnable ranks progress before the caller probes again; in a
+// stopped job, where a receive would fail, it fails the same way.
 func (p *Proc) Test(r *Request) bool {
 	if r.done {
 		return true
 	}
 	p.CC.Tick()
-	if msg, ok := p.rt.mbox[p.rank].take(r.src, r.tag, r.comm.id); ok {
-		r.data = msg.data
-		r.status = Status{Source: msg.src, Tag: msg.tag}
-		r.done = true
+	msg, ok := p.rt.mbox[p.rank].take(r.src, r.tag, r.comm.id)
+	if !ok {
+		if p.rt.stopped {
+			panic(p.rt.stopErr(p.rank))
+		}
+		p.yield()
+		return false
 	}
-	return r.done
+	r.data = msg.data
+	r.status = Status{Source: msg.src, Tag: msg.tag}
+	r.done = true
+	return true
 }

@@ -3,7 +3,6 @@ package mpi
 import (
 	"reflect"
 	"testing"
-	"time"
 )
 
 func TestIsendIrecvWait(t *testing.T) {
@@ -59,11 +58,10 @@ func TestTestProbe(t *testing.T) {
 		if p.Rank() == 0 {
 			r := p.Irecv(w, 1, 3)
 			if p.Test(r) {
-				return 1 // nothing sent yet... (racy in general; rank 1 waits)
+				return 1 // rank 1 sends only after the message below
 			}
 			p.Send(w, 1, 4, []float64{0}) // let rank 1 proceed
 			for !p.Test(r) {
-				time.Sleep(100 * time.Microsecond) // poll without burning ticks
 			}
 			if r.Data()[0] != 7 {
 				return 2
@@ -93,4 +91,28 @@ func TestDoubleWaitIdempotent(t *testing.T) {
 		return 0
 	})
 	requireAllOK(t, res)
+}
+
+func TestTestAfterStopAborts(t *testing.T) {
+	// Rank 0 polls for a message rank 1 never sends, and rank 1 crashes. A
+	// probe that finds nothing in the stopped job fails like a receive
+	// would, so the poller reports aborted instead of spinning into its tick
+	// budget and reporting a hang ahead of the crash.
+	res := run(t, 2, func(p *Proc) int {
+		w := p.World()
+		if p.Rank() == 1 {
+			var s []float64
+			_ = s[1]
+		}
+		r := p.Irecv(w, 1, 3)
+		for !p.Test(r) {
+		}
+		return 0
+	})
+	if res.Ranks[0].Status != StatusAborted {
+		t.Fatalf("rank 0: %v (want aborted)", res.Ranks[0].Status)
+	}
+	if fe, ok := res.FirstError(); !ok || fe.Rank != 1 || fe.Status != StatusCrash {
+		t.Fatalf("first error: %+v, %v (want rank 1 crash)", fe, ok)
+	}
 }

@@ -13,99 +13,74 @@ type Status struct {
 }
 
 // Send posts data to the process with local rank dest in c. Sends are
-// buffered and complete immediately. The data is copied.
+// buffered and complete immediately: the data is copied, and a receiver
+// blocked on a matching receive becomes runnable while the sender keeps
+// running.
 func (p *Proc) Send(c *Comm, dest, tag int, data []float64) {
 	p.CC.Tick()
 	buf := make([]float64, len(data))
 	copy(buf, data)
 	g := c.GlobalOf(dest)
-	p.rt.mbox[g].put(message{src: c.local, tag: tag, comm: c.id, data: buf})
+	msg := message{src: c.local, tag: tag, comm: c.id, data: buf}
+	p.rt.mbox[g].put(msg)
+	if w := &p.rt.waits[g]; w.wakes(msg, p.rt.sched) {
+		w.state = waitRunnable
+	}
 }
 
 // Recv blocks until a message with the given tag from local rank src
-// (or AnySource) arrives on c. While blocked, the rank is registered in the
-// runtime's wait-for graph so a permanently stuck job surfaces as a deadlock
-// immediately. Under Spec.Schedules, a wildcard receive only matches at
-// quiescence and becomes a recorded choice point.
+// (or AnySource) arrives on c. A job whose every live rank is blocked with
+// no match surfaces as a deadlock at once. Under Spec.Schedules, a wildcard
+// receive only matches at quiescence and becomes a recorded choice point.
 func (p *Proc) Recv(c *Comm, src, tag int) ([]float64, Status) {
 	p.CC.Tick()
-	det := p.rt.det
-	if src == AnySource && det.sched {
+	if src == AnySource && p.rt.sched {
 		return p.recvQuiescent(c, tag)
 	}
-	mb := p.rt.mbox[p.rank]
+	mb := &p.rt.mbox[p.rank]
 	for {
 		if msg, ok := mb.take(src, tag, c.id); ok {
 			return msg.data, Status{Source: msg.src, Tag: msg.tag}
 		}
-		det.block(p.rank, src == AnySource, src, tag, c.id, p.awaited(c, src))
-		select {
-		case <-mb.notify:
-			det.unblock(p.rank)
-		case <-p.rt.done:
-			det.unblock(p.rank)
-			if err := det.deadlockErr(p.rank); err != nil {
-				panic(err)
-			}
-			panic(&ErrStopped{Rank: p.rank})
-		}
+		p.block(c, src, tag)
 	}
 }
 
-// recvQuiescent is the schedule-mode wildcard receive: it waits for a match
-// grant from the detector (issued only when every other live rank is blocked
+// block parks the rank in a receive and yields until a matching send, a
+// quiescent grant or the job's stop makes it runnable again. Nothing resumes
+// a rank that blocks in a stopped job, so there the receive panics instead.
+func (p *Proc) block(c *Comm, src, tag int) {
+	if p.rt.stopped {
+		panic(p.rt.stopErr(p.rank))
+	}
+	p.rt.waits[p.rank] = rankWait{state: waitBlocked, comm: c, src: src, tag: tag}
+	p.yield()
+}
+
+// recvQuiescent is the schedule-mode wildcard receive: it waits for the
+// scheduler's match grant (issued only when every other live rank is blocked
 // or finished, so the eligible set is complete and deterministic), consults
 // the MatchOrder directive for this rank's next choice point, and records
 // the choice plus the eligible-set fingerprint in the rank's log.
 func (p *Proc) recvQuiescent(c *Comm, tag int) ([]float64, Status) {
-	det := p.rt.det
-	mb := p.rt.mbox[p.rank]
-	for {
-		if wm, ok := det.takeGranted(p.rank, tag, c.id); ok {
-			if len(wm.srcs) > 1 {
-				srcs := make([]int32, len(wm.srcs))
-				for i, s := range wm.srcs {
-					srcs[i] = int32(s)
-				}
-				p.CC.RecordMatch(conc.MatchRec{
-					Seq:    int32(wm.seq),
-					Comm:   int32(c.id),
-					Tag:    int32(tag),
-					Srcs:   srcs,
-					Choice: int32(wm.choice),
-				})
-			}
-			return wm.msg.data, Status{Source: wm.msg.src, Tag: wm.msg.tag}
-		}
-		det.block(p.rank, true, AnySource, tag, c.id, p.awaited(c, AnySource))
-		select {
-		case <-mb.notify:
-			det.unblock(p.rank)
-		case <-p.rt.done:
-			det.unblock(p.rank)
-			if err := det.deadlockErr(p.rank); err != nil {
-				panic(err)
-			}
-			panic(&ErrStopped{Rank: p.rank})
-		}
+	for !p.rt.waits[p.rank].granted {
+		p.block(c, AnySource, tag)
 	}
-}
-
-// awaited lists the global ranks whose send could satisfy a receive from src
-// on c — the receive's outgoing wait-for edges, sorted ascending.
-func (p *Proc) awaited(c *Comm, src int) []int {
-	if src != AnySource {
-		return []int{c.GlobalOf(src)}
-	}
-	out := make([]int, 0, c.Size()-1)
-	for l := 0; l < c.Size(); l++ {
-		g := c.GlobalOf(l)
-		if g != p.rank {
-			out = append(out, g)
+	wm := p.rt.takeGranted(p.rank, tag, c.id)
+	if len(wm.srcs) > 1 {
+		srcs := make([]int32, len(wm.srcs))
+		for i, s := range wm.srcs {
+			srcs[i] = int32(s)
 		}
+		p.CC.RecordMatch(conc.MatchRec{
+			Seq:    int32(wm.seq),
+			Comm:   int32(c.id),
+			Tag:    int32(tag),
+			Srcs:   srcs,
+			Choice: int32(wm.choice),
+		})
 	}
-	sort.Ints(out)
-	return out
+	return wm.msg.data, Status{Source: wm.msg.src, Tag: wm.msg.tag}
 }
 
 // Sendrecv sends to dest and receives from src in one call.

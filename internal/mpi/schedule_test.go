@@ -1,6 +1,7 @@
 package mpi
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -104,6 +105,23 @@ func TestMatchOrderClampsOutOfRange(t *testing.T) {
 	}
 }
 
+func TestWildcardOrderFixedWithoutSchedules(t *testing.T) {
+	// With schedules off a wildcard receive takes the first queued match,
+	// and one scheduler runs the ranks in a fixed order, so the senders'
+	// messages queue, and match, in the same order on every launch.
+	orders := map[string]bool{}
+	for i := 0; i < 200; i++ {
+		var got []int
+		if res := run(t, 8, fanIn(&got)); res.Failed() {
+			t.Fatalf("launch %d failed: %+v", i, res.Ranks)
+		}
+		orders[fmt.Sprint(got)] = true
+	}
+	if len(orders) != 1 {
+		t.Fatalf("%d distinct match orders in 200 launches, want 1: %v", len(orders), orders)
+	}
+}
+
 func TestSchedulesOffKeepsEagerMatching(t *testing.T) {
 	// With schedules off nothing is recorded and wildcard matching stays
 	// the historical eager first-queued-match (here causally forced).
@@ -186,7 +204,7 @@ func FuzzMailboxMatch(f *testing.F) {
 			return
 		}
 		rng := rand.New(rand.NewSource(seed))
-		mb := newMailbox()
+		mb := &mailbox{}
 		pending := map[probeKey][]float64{} // per-(src,tag,comm) FIFO of payloads
 		var keys []probeKey
 		for i := 0; i < n; i++ {

@@ -86,11 +86,12 @@ go test -race ./internal/core -run 'TestSnapshotEncoding'
 echo "== go test -race ./internal/fleet =="
 go test -race ./internal/fleet
 
-echo "== go test -race ./internal/mpi =="
-# The quiescent match grant protocol and the wait-for-graph detector span
-# two mutexes (detector, mailbox) across all rank goroutines; the race
-# detector is the test that matters for the schedule-space machinery.
-go test -race ./internal/mpi
+echo "== go test -race -cpu 1,2 ./internal/mpi =="
+# A launch's ranks run as coroutines on one scheduler goroutine, so what is
+# concurrent is Launch's watchdog against that goroutine: the timeout, the
+# abandoned rank that never yields, and the results they share. Both
+# GOMAXPROCS values also run the wildcard-order determinism test.
+go test -race -cpu 1,2 ./internal/mpi
 
 echo "== cross-process conformance (piped == in-process) =="
 go test ./internal/proto -run 'TestCrossProcessConformance|TestScheduleConformance|TestSchedMixedConformance|TestSchedShardedServiceConformance|TestSnapshotConformance' -count=1
@@ -270,10 +271,13 @@ echo "== engine throughput trajectory (BENCH_engine.json) =="
 # profiling off and on (the pair doubles as the disabled-profiler overhead
 # pin), plus the 150-iteration SUSY-HMC campaign that runs past the DFS phase
 # and the live-solve layer benchmark replaying that campaign's solver calls.
-# The pipe-launch layer benchmark times one launch (~0.1 ms), so it runs 2000.
+# The pipe-launch layer benchmark times one launch (~0.1 ms), so it runs 2000;
+# the MPI runtime layer benchmark times one round trip, collective or launch
+# (1-30 us), so it runs 20000.
 {
   go test -run '^$' -bench 'BenchmarkEngine|BenchmarkSolveIncremental' -benchtime 5x .
   go test -run '^$' -bench 'BenchmarkPipeLaunch' -benchtime 2000x .
+  go test -run '^$' -bench 'BenchmarkMPI' -benchtime 20000x .
 } | "$BIN_DIR/compi-bench" -out BENCH_engine.json
 echo "wrote BENCH_engine.json"
 
