@@ -6,8 +6,6 @@
 package repro
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
 	"io"
 	"os"
@@ -20,10 +18,8 @@ import (
 	"repro/internal/binstat"
 	"repro/internal/conc"
 	"repro/internal/core"
-	"repro/internal/coverage"
 	"repro/internal/experiments"
 	"repro/internal/expr"
-	"repro/internal/fleet"
 	"repro/internal/mpi"
 	"repro/internal/proto"
 	"repro/internal/sched"
@@ -484,43 +480,6 @@ func BenchmarkStoreQuery(b *testing.B) {
 	}
 }
 
-// BenchmarkMinimize measures a corpus-minimization pass over a store of
-// campaigns whose per-setup coverage sets are nested prefixes (the heavy-
-// subsumption shape). The first iteration rewrites snapshots; steady state
-// is snapshot loading plus the greedy set cover.
-func BenchmarkMinimize(b *testing.B) {
-	st, err := store.Open(b.TempDir())
-	if err != nil {
-		b.Fatal(err)
-	}
-	for c := 0; c < 12; c++ {
-		snap := &core.Snapshot{
-			Version: core.SnapshotVersion, Program: "bench", Iters: 50,
-			Corpus:    map[string]map[string]int64{},
-			CorpusCov: map[string][]conc.BranchBit{},
-		}
-		for s := 0; s < 24; s++ {
-			key := fmt.Sprintf("%d/%d", 4+s%4, s)
-			snap.Corpus[key] = map[string]int64{"x": int64(s)}
-			var bits []conc.BranchBit
-			for j := 0; j <= s*8; j++ {
-				bits = append(bits, conc.BranchBit(c*1000+j))
-			}
-			snap.CorpusCov[key] = bits
-		}
-		if err := st.SaveCampaign(fmt.Sprintf("camp-%02d", c), snap); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := st.Minimize(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkCheckpoint measures one store checkpoint of a campaign at a
 // 200-iteration HPL history, fsync included. "engine" takes the engine's
 // Snapshot and saves it, as a store-backed sched batch does after every
@@ -571,52 +530,6 @@ func BenchmarkCheckpoint(b *testing.B) {
 			b.ReportMetric(float64(fi.Size()), "file-bytes")
 		})
 	}
-}
-
-// BenchmarkFleetMergeDelta measures the fleet's streaming-merge encoding on
-// a shard that has already covered a large corpus and finds a handful of new
-// branches per iteration: "delta" encodes the merge frame the worker actually
-// sends (O(new branches)), "full" what a naive design would send (the whole
-// corpus every iteration). Both report bytes/frame; the gap is the point.
-func BenchmarkFleetMergeDelta(b *testing.B) {
-	const corpus, fresh = 20_000, 4
-	tr := coverage.New()
-	tr.StartJournal()
-	for i := 0; i < corpus; i++ {
-		tr.AddBranch(conc.BranchBit(i))
-	}
-	tr.DrainDelta() // corpus already streamed in earlier frames
-
-	b.Run("delta", func(b *testing.B) {
-		b.ReportAllocs()
-		var total int64
-		for i := 0; i < b.N; i++ {
-			for j := 0; j < fresh; j++ {
-				tr.AddBranch(conc.BranchBit(corpus + (i*fresh+j)%corpus))
-			}
-			var frame bytes.Buffer
-			err := fleet.WriteFrame(&frame, fleet.Frame{Type: fleet.FrameMerge, Merge: &fleet.Merge{
-				Lease: "shard0.g1", Iters: i + 1, Delta: tr.DrainDelta(),
-			}})
-			if err != nil {
-				b.Fatal(err)
-			}
-			total += int64(frame.Len())
-		}
-		b.ReportMetric(float64(total)/float64(b.N), "bytes/frame")
-	})
-	b.Run("full", func(b *testing.B) {
-		b.ReportAllocs()
-		var total int64
-		for i := 0; i < b.N; i++ {
-			raw, err := json.Marshal(tr.Branches())
-			if err != nil {
-				b.Fatal(err)
-			}
-			total += int64(len(raw))
-		}
-		b.ReportMetric(float64(total)/float64(b.N), "bytes/frame")
-	})
 }
 
 // BenchmarkSchedSpeedup measures the scheduler's parallel speedup on four

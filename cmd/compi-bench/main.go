@@ -1,10 +1,11 @@
 // Command compi-bench maintains a benchmark trajectory file: it parses `go
 // test -bench` output, appends one JSON object per benchmark line to a
-// trajectory file (the same schema ci.sh's awk writes for BENCH_fleet.json:
-// {"name":..., "n":..., "<unit>": value, ...}), and prints each metric's
-// delta against the previous entry of the same benchmark — so a regression
-// in engine throughput shows up as a signed percentage in the CI log, not as
-// a profile diff someone has to remember to take.
+// trajectory file ({"name":..., "n":..., "<unit>": value, ...}; ci.sh writes
+// BENCH_engine.json, BENCH_fleet.json and BENCH_store.json this way), and
+// prints each metric's delta against the previous entry of the same
+// benchmark — so a regression in engine throughput shows up as a signed
+// percentage in the CI log, not as a profile diff someone has to remember
+// to take.
 //
 // Usage:
 //

@@ -19,7 +19,6 @@
 //	                                        # coordinator: lease shards
 //	compi work -connect 127.0.0.1:7045 -j 4 # worker: run leased shards
 //	compi store compact -dir ./state        # drop superseded snapshots
-//	compi store minimize -dir ./state       # drop subsumed corpus entries
 //	compi report -dir ./state -error dead   # which setups hit a deadlock?
 //	compi replay -spec failure.json         # re-execute a recorded failure
 //	compi help                              # mode listing

@@ -92,3 +92,19 @@ func TestModeFlagSetsErrorHandling(t *testing.T) {
 		}
 	}
 }
+
+// TestStoreUnknownAction: a first argument that is not a store action is a
+// usage error (exit 2) naming it, whether it comes before or after -dir,
+// rather than falling through to the inventory's "-dir is required".
+func TestStoreUnknownAction(t *testing.T) {
+	dir := t.TempDir()
+	for _, args := range [][]string{
+		{"compcat", "-dir", dir},
+		{"minimize", "-dir", dir},
+		{"-dir", dir, "compcat"},
+	} {
+		if got := newStoreMode().Run(args); got != 2 {
+			t.Errorf("compi store %v exited %d, want 2", args, got)
+		}
+	}
+}

@@ -39,7 +39,7 @@ func newServeMode() *serveMode {
 	m.stateDir = fs.String("state-dir", "", "campaign store directory: checkpoint shards, resume interrupted batches, reuse setups explored by prior batches")
 	m.batchID = fs.String("batch", "", "batch manifest name in the store (default: derived from the spec list)")
 	m.ttl = fs.Duration("ttl", 10*time.Second, "lease time-to-live: a lease not renewed within this window is reclaimed and re-leased")
-	m.snapEvery = fs.Int("snapshot-every", 8, "iterations between streamed progress snapshots (resume granularity after a worker death)")
+	m.snapEvery = fs.Int("snapshot-every", 8, "iterations between progress snapshots: the resume granularity after a worker death and the status endpoint's update interval")
 	m.verbose = fs.Bool("v", false, "log fleet events to stderr")
 	return m
 }

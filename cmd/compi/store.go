@@ -11,7 +11,6 @@ import (
 
 // storeMode maintains a campaign store directory: the default action prints
 // an inventory; `compi store compact` drops superseded campaign snapshots,
-// `compi store minimize` drops corpus entries whose coverage is subsumed,
 // and `compi store reindex` rebuilds the campaign index from the snapshots.
 // Cross-campaign queries live in `compi report`.
 type storeMode struct {
@@ -31,7 +30,7 @@ func newStoreMode() *storeMode {
 
 func (m *storeMode) Name() string { return "store" }
 func (m *storeMode) Synopsis() string {
-	return "maintain a campaign store: inventory, compact, minimize, reindex"
+	return "maintain a campaign store: inventory, compact, reindex"
 }
 func (m *storeMode) Flags() *flag.FlagSet { return m.fs }
 
@@ -57,13 +56,16 @@ func (m *storeMode) Run(args []string) int {
 		switch args[0] {
 		case "compact":
 			return m.runCompact(args[1:])
-		case "minimize":
-			return m.runMinimize(args[1:])
 		case "reindex":
 			return m.runReindex(args[1:])
 		}
 	}
 	m.fs.Parse(args)
+	// A lone positional is the store directory (`compi store D`); anything
+	// else that is not an action is a mistyped one.
+	if m.fs.NArg() > 1 || m.fs.NArg() == 1 && *m.dir != "" {
+		return usagef("compi store: unknown action %q (actions: compact, reindex)", m.fs.Arg(0))
+	}
 	storeDir(m.fs, m.dir, "compi store")
 	st, err := store.Open(*m.dir)
 	if err != nil {
@@ -169,29 +171,6 @@ func (m *storeMode) runCompact(args []string) int {
 	for _, name := range stats.Removed {
 		fmt.Printf("  removed %s\n", name)
 	}
-	return 0
-}
-
-// runMinimize implements `compi store minimize`: drop corpus entries whose
-// branch sets are subsumed by the retained ones (greedy set cover over the
-// snapshots' per-setup coverage). Resume behaviour is unchanged — the engine
-// never reads the corpus back into the exploration.
-func (m *storeMode) runMinimize(args []string) int {
-	fs := newFlagSet("store minimize")
-	dir := fs.String("dir", "", "campaign store directory (required)")
-	fs.Parse(args)
-	storeDir(fs, dir, "compi store minimize")
-	st, err := store.Open(*dir)
-	if err != nil {
-		return fatalf("compi store minimize: %v", err)
-	}
-	defer st.Close()
-	stats, err := st.Minimize()
-	if err != nil {
-		return fatalf("compi store minimize: %v", err)
-	}
-	fmt.Printf("minimized %s: dropped %d subsumed corpus entries, kept %d, rewrote %d campaigns\n",
-		st.Dir(), stats.Dropped, stats.Kept, stats.Campaigns)
 	return 0
 }
 

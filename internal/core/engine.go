@@ -314,19 +314,6 @@ type Engine struct {
 	// amounts of work, so last iteration's length is an excellent estimate.
 	traceHint int
 
-	// corpus records, per (nprocs, focus) setup, the input values the most
-	// recent execution under that setup actually used — the per-setup input
-	// corpora a snapshot carries so future strategies can reseed from them.
-	corpus map[setup]map[string]int64
-
-	// setupCov records, per setup, every branch its executions touched —
-	// not just branches first discovered under it. Store.Minimize runs a
-	// set cover over these sets to drop corpus entries whose coverage is
-	// subsumed by the retained ones, so the sets must be the full
-	// per-setup coverage, and they are snapshotted (CorpusCov) alongside
-	// the corpus they justify.
-	setupCov map[setup]map[conc.BranchBit]struct{}
-
 	// Schedule-frontier state (Config.Schedules). schedPend is the LIFO
 	// stack of pending directed runs (pop from the end = deepest choice
 	// point first, the DFS order); schedSeen holds the serialized key of
@@ -357,8 +344,6 @@ func NewEngine(cfg Config) *Engine {
 		prev:      map[expr.Var]int64{},
 		names:     map[expr.Var]string{},
 		cur:       setup{nprocs: cfg.InitialProcs, focus: cfg.InitialFocus},
-		corpus:    map[setup]map[string]int64{},
-		setupCov:  map[setup]map[conc.BranchBit]struct{}{},
 		schedSeen: map[string]struct{}{},
 	}
 	e.backend = cfg.Backend
@@ -430,56 +415,23 @@ func (e *Engine) Run() Result {
 // iterate performs one launch + one input-generation step. Pending directed
 // runs on the schedule frontier take priority over input exploration — they
 // are the deepest untried match orders, exactly as unexplored branch
-// negations would be under DFS.
+// negations would be under DFS. A directed run bypasses the input-negation
+// machinery entirely (its inputs are pinned to the discovering run's) but
+// harvests new choice points like any other execution.
 func (e *Engine) iterate(it int) IterationStat {
 	if e.cfg.Schedules && len(e.schedPend) > 0 {
-		return e.iterateScheduled(it)
+		n := len(e.schedPend)
+		sr := e.schedPend[n-1]
+		e.schedPend = e.schedPend[:n-1]
+		e.schedOrders++
+		st := setup{nprocs: sr.NProcs, focus: sr.Focus}
+		stat, run, sp := e.execute(it, st, sr.Inputs, sr.Order)
+		stat.Scheduled = true
+		e.harvestMatches(run, sr.Order, sr.Inputs, st)
+		sp.End()
+		return stat
 	}
-	stat := IterationStat{NProcs: e.cur.nprocs, Focus: e.cur.focus}
-
-	sp := e.prof.Time("execute")
-	run := e.launch(it)
-	sp.End()
-	stat.RunTime = run.Elapsed
-	stat.Failed = run.Failed()
-
-	// Trace collection: merge coverage, log errors, learn observed values.
-	sp = e.prof.Time("trace-collect")
-
-	// Merge coverage: all recorders with the framework on, focus only with
-	// it off (§VI-E).
-	for _, rr := range run.Ranks {
-		if rr.Log == nil {
-			continue
-		}
-		if e.cfg.Framework || rr.Rank == e.cur.focus {
-			e.cov.AddLog(rr.Log)
-			e.noteSetupCov(e.cur, rr.Log)
-		}
-		stat.LogBytes += rr.LogBytes
-		if rr.Rank == e.cur.focus {
-			stat.FocusLog = rr.LogBytes
-		} else if rr.LogBytes > stat.OtherLog {
-			stat.OtherLog = rr.LogBytes
-		}
-	}
-
-	// Log error-inducing inputs.
-	if fe, bad := run.FirstError(); bad {
-		msg := fmt.Sprintf("exit=%d", fe.Exit)
-		if fe.Err != nil {
-			msg = fe.Err.Error()
-		}
-		rec := ErrorRecord{
-			Iter: it, NProcs: e.cur.nprocs, Focus: e.cur.focus,
-			Status: fe.Status, Rank: fe.Rank, Msg: msg,
-			Inputs:    cloneInputs(e.inputs),
-			Params:    e.cfg.Params,
-			Schedules: e.cfg.Schedules,
-		}
-		e.errors = append(e.errors, rec)
-		e.logError(rec)
-	}
+	stat, run, sp := e.execute(it, e.cur, e.inputs, nil)
 
 	focusLog := run.Ranks[e.cur.focus].Log
 	if focusLog == nil || focusLog.Mode != conc.Heavy {
@@ -502,9 +454,6 @@ func (e *Engine) iterate(it int) IterationStat {
 			e.caps[o.Name] = capInfo{cap: o.Cap, hasCap: o.HasCap}
 		}
 	}
-	// The inputs map now holds exactly the values this setup's execution
-	// consumed: record them as the setup's corpus entry.
-	e.corpus[e.cur] = cloneInputs(e.inputs)
 
 	// Harvest this run's wildcard choice points into the schedule frontier.
 	// The run was free (no directives), so every multi-candidate match is a
@@ -513,7 +462,7 @@ func (e *Engine) iterate(it int) IterationStat {
 	// actually consumed — that, plus the directive prefix, is what makes the
 	// child deterministically reach the same choice point.
 	if e.cfg.Schedules {
-		e.harvestMatches(run, nil, e.inputs, e.cur.nprocs, e.cur.focus)
+		e.harvestMatches(run, nil, e.inputs, e.cur)
 	}
 	sp.End()
 
@@ -563,18 +512,71 @@ func (e *Engine) iterate(it int) IterationStat {
 	}
 }
 
-// noteSetupCov attributes a merged log's covered branches to the setup that
-// executed it. Mirrors the AddLog condition exactly, so per-setup sets union
-// to precisely the tracker's branch set.
-func (e *Engine) noteSetupCov(st setup, log *conc.Log) {
-	m := e.setupCov[st]
-	if m == nil {
-		m = make(map[conc.BranchBit]struct{}, len(log.Covered))
-		e.setupCov[st] = m
+// execute launches one MPMD test at st with inputs under the match-order
+// prefix order (nil for a free run) — Heavy at the focus, Light elsewhere,
+// or Heavy everywhere under the one-way ablation — through the configured
+// execution backend. It then merges the run's coverage, sizes its logs and
+// records its first error. It returns the iteration's stat, the run and the
+// still-open trace-collect span, which the caller ends once it has learned
+// what it needs from the run.
+func (e *Engine) execute(it int, st setup, inputs map[string]int64, order [][]int) (IterationStat, mpi.RunResult, binstat.Span) {
+	stat := IterationStat{NProcs: st.nprocs, Focus: st.focus}
+	sp := e.prof.Time("execute")
+	run := e.backend.Launch(LaunchSpec{
+		Iter:       it,
+		NProcs:     st.nprocs,
+		Focus:      st.focus,
+		Inputs:     cloneInputs(inputs),
+		Params:     e.cfg.Params,
+		Seed:       e.cfg.Seed + int64(it),
+		Timeout:    e.cfg.RunTimeout,
+		MaxTicks:   e.cfg.MaxTicks,
+		Reduction:  e.cfg.Reduction,
+		OneWay:     e.cfg.OneWay,
+		TraceHint:  e.traceHint,
+		Schedules:  e.cfg.Schedules,
+		MatchOrder: order,
+	})
+	sp.End()
+	stat.RunTime = run.Elapsed
+	stat.Failed = run.Failed()
+
+	sp = e.prof.Time("trace-collect")
+	// Merge coverage: all recorders with the framework on, focus only with
+	// it off (§VI-E).
+	for _, rr := range run.Ranks {
+		if rr.Log == nil {
+			continue
+		}
+		if e.cfg.Framework || rr.Rank == st.focus {
+			e.cov.AddLog(rr.Log)
+		}
+		stat.LogBytes += rr.LogBytes
+		if rr.Rank == st.focus {
+			stat.FocusLog = rr.LogBytes
+		} else if rr.LogBytes > stat.OtherLog {
+			stat.OtherLog = rr.LogBytes
+		}
 	}
-	for _, b := range log.Covered {
-		m[b] = struct{}{}
+	// Log error-inducing inputs, with the match order that steered the run
+	// there attached for replay.
+	if fe, bad := run.FirstError(); bad {
+		msg := fmt.Sprintf("exit=%d", fe.Exit)
+		if fe.Err != nil {
+			msg = fe.Err.Error()
+		}
+		rec := ErrorRecord{
+			Iter: it, NProcs: st.nprocs, Focus: st.focus,
+			Status: fe.Status, Rank: fe.Rank, Msg: msg,
+			Inputs:     cloneInputs(inputs),
+			Params:     e.cfg.Params,
+			Schedules:  e.cfg.Schedules,
+			MatchOrder: order,
+		}
+		e.errors = append(e.errors, rec)
+		e.logError(rec)
 	}
+	return stat, run, sp
 }
 
 // logError emits rec to the persistent error log (one JSON line per record).
@@ -656,26 +658,6 @@ func (e *Engine) randomizeAll() {
 		e.cur = setup{nprocs: 1 + e.rng.Intn(e.cfg.MaxProcs)}
 		e.cur.focus = e.rng.Intn(e.cur.nprocs)
 	}
-}
-
-// launch runs one MPMD test — Heavy at the focus, Light elsewhere (or Heavy
-// everywhere under the one-way ablation) — through the configured execution
-// backend.
-func (e *Engine) launch(it int) mpi.RunResult {
-	return e.backend.Launch(LaunchSpec{
-		Iter:      it,
-		NProcs:    e.cur.nprocs,
-		Focus:     e.cur.focus,
-		Inputs:    cloneInputs(e.inputs),
-		Params:    e.cfg.Params,
-		Seed:      e.cfg.Seed + int64(it),
-		Timeout:   e.cfg.RunTimeout,
-		MaxTicks:  e.cfg.MaxTicks,
-		Reduction: e.cfg.Reduction,
-		OneWay:    e.cfg.OneWay,
-		TraceHint: e.traceHint,
-		Schedules: e.cfg.Schedules,
-	})
 }
 
 func cloneInputs(in map[string]int64) map[string]int64 {

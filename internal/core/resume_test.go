@@ -216,19 +216,22 @@ func TestCheckpointCadence(t *testing.T) {
 }
 
 // TestResumeV3SnapshotWithRefutedKeys pins compatibility with snapshots
-// written while the engine kept its own refuted set: the committed v3
-// fixture (skeleton, seed 3, taken at iteration 70 of 120) still carries its
-// "refuted" canonical keys. LoadSnapshot only counts them, as Refutations,
-// and the resumed campaign — whose refutations the solver service
-// re-derives — equals the uninterrupted run, the fixture's recorded history
-// included.
+// written while the engine kept its own refuted set and its per-setup input
+// corpus: the committed v3 fixture (skeleton, seed 3, taken at iteration 70
+// of 120) still carries its "refuted" canonical keys and its "corpus" and
+// "corpusCov" maps. LoadSnapshot only counts the keys, as Refutations, and
+// skips the corpus, and the resumed campaign — whose refutations the solver
+// service re-derives — equals the uninterrupted run, the fixture's recorded
+// history included.
 func TestResumeV3SnapshotWithRefutedKeys(t *testing.T) {
 	raw, err := os.ReadFile("testdata/snapshot_v3_refuted.json")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Contains(raw, []byte(`"refuted": [`)) {
-		t.Fatal("fixture no longer carries refuted keys")
+	for _, key := range []string{`"refuted": [`, `"corpus": {`, `"corpusCov": {`} {
+		if !bytes.Contains(raw, []byte(key)) {
+			t.Fatalf("fixture no longer carries %s", key)
+		}
 	}
 	snap, err := LoadSnapshot(bytes.NewReader(raw))
 	if err != nil {

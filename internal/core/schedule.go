@@ -2,7 +2,6 @@ package core
 
 import (
 	"encoding/json"
-	"fmt"
 	"sort"
 
 	"repro/internal/mpi"
@@ -73,12 +72,13 @@ func collectMatches(run mpi.RunResult) []matchPoint {
 // there. Children are pushed shallow-to-deep, and the frontier pops from the
 // end, so the deepest choice point's alternatives run first — the DFS shape
 // of the branch search, transplanted to schedule space.
-func (e *Engine) harvestMatches(run mpi.RunResult, parent [][]int, inputs map[string]int64, nprocs, focus int) {
+func (e *Engine) harvestMatches(run mpi.RunResult, parent [][]int, inputs map[string]int64, st setup) {
 	pts := collectMatches(run)
 	if len(pts) == 0 {
 		return
 	}
 	e.schedPoints += len(pts)
+	nprocs := st.nprocs
 	dir := make([]int, nprocs)
 	for r := 0; r < len(parent) && r < nprocs; r++ {
 		dir[r] = len(parent[r])
@@ -95,7 +95,7 @@ func (e *Engine) harvestMatches(run mpi.RunResult, parent [][]int, inputs map[st
 				Order:  childOrder(pts[:i], pt, alt, nprocs),
 				Inputs: cloneInputs(inputs),
 				NProcs: nprocs,
-				Focus:  focus,
+				Focus:  st.focus,
 			}
 			key := sr.key()
 			if _, dup := e.schedSeen[key]; dup {
@@ -122,75 +122,6 @@ func childOrder(prefix []matchPoint, pt matchPoint, alt, nprocs int) [][]int {
 		order[pt.rank] = append(order[pt.rank], alt)
 	}
 	return order
-}
-
-// iterateScheduled pops the deepest pending directed run and executes it.
-// Scheduled iterations bypass the input-negation machinery entirely — the
-// inputs are pinned to the discovering run's — but merge coverage, record
-// errors (with the order attached for replay), and harvest new choice points
-// like any other execution.
-func (e *Engine) iterateScheduled(it int) IterationStat {
-	n := len(e.schedPend)
-	sr := e.schedPend[n-1]
-	e.schedPend = e.schedPend[:n-1]
-	stat := IterationStat{NProcs: sr.NProcs, Focus: sr.Focus, Scheduled: true}
-
-	sp := e.prof.Time("execute")
-	run := e.backend.Launch(LaunchSpec{
-		Iter:       it,
-		NProcs:     sr.NProcs,
-		Focus:      sr.Focus,
-		Inputs:     cloneInputs(sr.Inputs),
-		Params:     e.cfg.Params,
-		Seed:       e.cfg.Seed + int64(it),
-		Timeout:    e.cfg.RunTimeout,
-		MaxTicks:   e.cfg.MaxTicks,
-		Reduction:  e.cfg.Reduction,
-		OneWay:     e.cfg.OneWay,
-		TraceHint:  e.traceHint,
-		Schedules:  true,
-		MatchOrder: sr.Order,
-	})
-	sp.End()
-	e.schedOrders++
-	stat.RunTime = run.Elapsed
-	stat.Failed = run.Failed()
-
-	sp = e.prof.Time("trace-collect")
-	for _, rr := range run.Ranks {
-		if rr.Log == nil {
-			continue
-		}
-		if e.cfg.Framework || rr.Rank == sr.Focus {
-			e.cov.AddLog(rr.Log)
-			e.noteSetupCov(setup{nprocs: sr.NProcs, focus: sr.Focus}, rr.Log)
-		}
-		stat.LogBytes += rr.LogBytes
-		if rr.Rank == sr.Focus {
-			stat.FocusLog = rr.LogBytes
-		} else if rr.LogBytes > stat.OtherLog {
-			stat.OtherLog = rr.LogBytes
-		}
-	}
-	if fe, bad := run.FirstError(); bad {
-		msg := fmt.Sprintf("exit=%d", fe.Exit)
-		if fe.Err != nil {
-			msg = fe.Err.Error()
-		}
-		rec := ErrorRecord{
-			Iter: it, NProcs: sr.NProcs, Focus: sr.Focus,
-			Status: fe.Status, Rank: fe.Rank, Msg: msg,
-			Inputs:     cloneInputs(sr.Inputs),
-			Params:     e.cfg.Params,
-			Schedules:  true,
-			MatchOrder: sr.Order,
-		}
-		e.errors = append(e.errors, rec)
-		e.logError(rec)
-	}
-	e.harvestMatches(run, sr.Order, sr.Inputs, sr.NProcs, sr.Focus)
-	sp.End()
-	return stat
 }
 
 // scheduleStats assembles the campaign's schedule-exploration summary;

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"sort"
-	"strings"
 
 	"repro/internal/conc"
 	"repro/internal/coverage"
@@ -14,17 +13,20 @@ import (
 // SnapshotVersion is the current snapshot schema version. Version 1 carried
 // only the learned inputs and coverage; version 2 adds everything resume
 // determinism needs — the global iteration count and per-iteration history,
-// restart history, the engine RNG state, the variable allocation order, the
-// search-strategy position, and the per-setup input corpora. Version 3 adds
-// the schedule frontier (pending directed match-order runs, the seen-order
-// dedup set, and the choice-point/order counters) so schedule-space
-// campaigns resume deterministically. Loaders accept any version ≤
-// SnapshotVersion (older snapshots resume with degraded fidelity:
-// exploration restarts rather than continuing) and reject newer ones.
+// restart history, the engine RNG state, the variable allocation order, and
+// the search-strategy position. Version 3 adds the schedule frontier
+// (pending directed match-order runs, the seen-order dedup set, and the
+// choice-point/order counters) so schedule-space campaigns resume
+// deterministically. Loaders accept any version ≤ SnapshotVersion (older
+// snapshots resume with degraded fidelity: exploration restarts rather than
+// continuing) and reject newer ones. The version is part of every store
+// setup key, so a field that nothing reads is dropped without a bump.
 // Snapshots written before the solver service became the only refutation
 // layer also carry a "refuted" list of canonical keys; LoadSnapshot only
 // counts them (as Refutations), and the resumed campaign is unchanged
-// because every proven refutation is re-derived by the service.
+// because every proven refutation is re-derived by the service. Older
+// snapshots may also carry a per-setup input corpus ("corpus" and
+// "corpusCov") that nothing read back; LoadSnapshot skips both keys.
 const SnapshotVersion = 3
 
 // Snapshot is the persistent campaign state. COMPI itself operates through
@@ -73,17 +75,6 @@ type Snapshot struct {
 	// Strategy is the serialized search-strategy position, present when the
 	// strategy implements PersistentStrategy.
 	Strategy *StrategyState `json:"strategy,omitempty"`
-
-	// Corpus maps "nprocs/focus" setup keys to the input values most
-	// recently executed under that setup.
-	Corpus map[string]map[string]int64 `json:"corpus,omitempty"`
-
-	// CorpusCov maps the same setup keys to the sorted set of every branch
-	// the setup's executions touched. Store.Minimize runs a greedy set
-	// cover over these sets to drop corpus entries whose coverage is
-	// subsumed. Additive to schema v3: absent in older snapshots, which
-	// simply makes them ineligible for minimization.
-	CorpusCov map[string][]conc.BranchBit `json:"corpusCov,omitempty"`
 
 	// v3 fields: the schedule frontier (Config.Schedules campaigns).
 
@@ -191,23 +182,6 @@ func (e *Engine) Snapshot() *Snapshot {
 	if ps, ok := e.strategy.(PersistentStrategy); ok {
 		if b, err := ps.MarshalState(); err == nil {
 			s.Strategy = &StrategyState{Name: ps.Name(), State: b}
-		}
-	}
-	if len(e.corpus) > 0 {
-		s.Corpus = map[string]map[string]int64{}
-		for st, inputs := range e.corpus {
-			s.Corpus[fmt.Sprintf("%d/%d", st.nprocs, st.focus)] = cloneInputs(inputs)
-		}
-	}
-	if len(e.setupCov) > 0 {
-		s.CorpusCov = map[string][]conc.BranchBit{}
-		for st, set := range e.setupCov {
-			bits := make([]conc.BranchBit, 0, len(set))
-			for b := range set {
-				bits = append(bits, b)
-			}
-			sort.Slice(bits, func(i, j int) bool { return bits[i] < bits[j] })
-			s.CorpusCov[fmt.Sprintf("%d/%d", st.nprocs, st.focus)] = bits
 		}
 	}
 	s.SchedPend = append([]schedRun(nil), e.schedPend...)
@@ -322,22 +296,6 @@ func (e *Engine) Restore(s *Snapshot) error {
 	e.refutations = s.Refutations
 	if s.Version >= 2 {
 		e.rng.state = s.RNG
-	}
-	for key, inputs := range s.Corpus {
-		var np, f int
-		if _, err := fmt.Sscanf(key, "%d/%d", &np, &f); err == nil && strings.Count(key, "/") == 1 {
-			e.corpus[setup{nprocs: np, focus: f}] = cloneInputs(inputs)
-		}
-	}
-	for key, bits := range s.CorpusCov {
-		var np, f int
-		if _, err := fmt.Sscanf(key, "%d/%d", &np, &f); err == nil && strings.Count(key, "/") == 1 {
-			set := make(map[conc.BranchBit]struct{}, len(bits))
-			for _, b := range bits {
-				set[b] = struct{}{}
-			}
-			e.setupCov[setup{nprocs: np, focus: f}] = set
-		}
 	}
 	e.schedPend = append([]schedRun(nil), s.SchedPend...)
 	e.schedSeen = make(map[string]struct{}, len(s.SchedSeen))

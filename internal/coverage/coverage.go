@@ -2,14 +2,17 @@
 // test iteration — the "all recorders" half of COMPI's "one focus and all
 // recorders" framework (§III).
 //
-// Tracker is safe for concurrent use: the campaign scheduler merges the
-// trackers of concurrently running engines into per-target union trackers
-// while campaigns are still adding coverage. The record path is sharded —
-// branches hash across 64 independently locked shards and the covered count
-// is a lock-free atomic — so concurrently recording engines only contend
-// when they land on the same shard at the same instant. The batch operations
-// (Merge, DrainDelta, Branches) still walk every shard under its lock; they
-// run once per iteration or merge frame, not once per branch event.
+// Tracker is safe for concurrent use: Merge may union trackers that other
+// goroutines are still writing, and readers may query a tracker while it is
+// written. The scheduler merges each campaign's tracker into a per-target
+// union tracker once the batch has ended (sched.Batch.Report), and the
+// fleet coordinator unions each progress snapshot's coverage into its
+// status trackers. The record path is sharded — branches hash across 64
+// independently locked shards and the covered count is a lock-free atomic —
+// so concurrent writers only contend when they land on the same shard at
+// the same instant. The batch operations (Merge, Branches) walk every shard
+// under its lock; they run once per snapshot or report, not once per branch
+// event.
 package coverage
 
 import (
@@ -25,11 +28,10 @@ import (
 // concurrently recording engines rare.
 const nShards = 64
 
-// shard holds one slice of the branch set plus its segment of the journal.
+// shard holds one slice of the branch set.
 type shard struct {
 	mu      sync.RWMutex
 	covered map[conc.BranchBit]struct{}
-	jNew    []conc.BranchBit // journaled admissions (guarded by mu)
 }
 
 func shardOf(b conc.BranchBit) uint32 { return uint32(b) & (nShards - 1) }
@@ -39,18 +41,10 @@ type Tracker struct {
 	shards [nShards]shard
 	count  atomic.Int64 // total covered branches (sum over shards)
 
-	// journaling (delta.go): when set, every branch or function admitted for
-	// the first time is also appended to its shard's journal (branches) or
-	// jFuncs (functions), so DrainDelta can report "what is new since the
-	// last drain" in O(new) without walking the full corpus. Atomic so the
-	// sharded record path reads it without a global lock.
-	journaling atomic.Bool
-
 	// Functions are far fewer than branch events and arrive once per log, so
 	// they keep a single lock.
-	fmu    sync.RWMutex
-	funcs  map[string]struct{}
-	jFuncs []string
+	fmu   sync.RWMutex
+	funcs map[string]struct{}
 }
 
 // New returns an empty tracker.
@@ -62,9 +56,9 @@ func New() *Tracker {
 	return t
 }
 
-// noteBranch admits b into its shard, journaling it if new. The fast path —
-// b already covered, the overwhelmingly common case mid-campaign — takes
-// only the shard's read lock.
+// noteBranch admits b into its shard. The fast path — b already covered,
+// the overwhelmingly common case mid-campaign — takes only the shard's read
+// lock.
 func (t *Tracker) noteBranch(b conc.BranchBit) {
 	s := &t.shards[shardOf(b)]
 	s.mu.RLock()
@@ -77,14 +71,11 @@ func (t *Tracker) noteBranch(b conc.BranchBit) {
 	if _, ok := s.covered[b]; !ok {
 		s.covered[b] = struct{}{}
 		t.count.Add(1)
-		if t.journaling.Load() {
-			s.jNew = append(s.jNew, b)
-		}
 	}
 	s.mu.Unlock()
 }
 
-// noteFunc admits f, journaling it if new.
+// noteFunc admits f.
 func (t *Tracker) noteFunc(f string) {
 	t.fmu.RLock()
 	_, ok := t.funcs[f]
@@ -95,9 +86,6 @@ func (t *Tracker) noteFunc(f string) {
 	t.fmu.Lock()
 	if _, ok := t.funcs[f]; !ok {
 		t.funcs[f] = struct{}{}
-		if t.journaling.Load() {
-			t.jFuncs = append(t.jFuncs, f)
-		}
 	}
 	t.fmu.Unlock()
 }

@@ -1,112 +1,10 @@
 package coverage
 
 import (
-	"reflect"
-	"sync"
 	"testing"
 
 	"repro/internal/conc"
 )
-
-// TestShardedRecordMergeDrainConcurrent is the sharded tracker's integrity
-// proof: recorders, mergers and drainers all running at once (the fleet
-// worker shape — engines record while the shard loop drains deltas and the
-// coordinator merges), with the journal stream checked for exactness: every
-// branch drained exactly once, none lost, none duplicated. Run under -race.
-func TestShardedRecordMergeDrainConcurrent(t *testing.T) {
-	tr := New()
-	tr.StartJournal()
-
-	const writers, perWriter = 8, 400
-	var wg sync.WaitGroup
-	stop := make(chan struct{})
-
-	// Drainer: continuously collects the journal stream.
-	var drained []conc.BranchBit
-	var drainWG sync.WaitGroup
-	drainWG.Add(1)
-	go func() {
-		defer drainWG.Done()
-		for {
-			select {
-			case <-stop:
-				drained = append(drained, tr.DrainDelta().Branches...)
-				return
-			default:
-				drained = append(drained, tr.DrainDelta().Branches...)
-			}
-		}
-	}()
-
-	for w := 0; w < writers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			side := New() // merge source, exercising Merge during records
-			for i := 0; i < perWriter; i++ {
-				b := conc.BranchBit(w*perWriter + i)
-				if i%3 == 0 {
-					side.AddBranch(b)
-					tr.Merge(side)
-				} else {
-					tr.AddBranch(b)
-				}
-				// Overlapping writes from other writers' ranges: dups must
-				// be absorbed, not re-journaled.
-				tr.AddBranch(conc.BranchBit(i))
-				_ = tr.Covered(b)
-				_ = tr.Count()
-			}
-		}(w)
-	}
-	wg.Wait()
-	close(stop)
-	drainWG.Wait()
-
-	want := writers * perWriter // ranges overlap on [0,perWriter)
-	if got := tr.Count(); got != want {
-		t.Fatalf("tracker count %d, want %d", got, want)
-	}
-	if len(drained) != want {
-		t.Fatalf("journal stream carried %d entries, want exactly %d (lost or duplicated admissions)", len(drained), want)
-	}
-	seen := map[conc.BranchBit]struct{}{}
-	for _, b := range drained {
-		if _, dup := seen[b]; dup {
-			t.Fatalf("branch %d drained twice", b)
-		}
-		seen[b] = struct{}{}
-	}
-}
-
-// TestApplyDeltaIdempotentCount pins that ApplyDelta idempotency survives
-// the sharded-counter change: double application must not double Count, and
-// a journaled receiver re-emits each entry exactly once (the fleet merge
-// path replays overlapping deltas from reclaimed workers).
-func TestApplyDeltaIdempotentCount(t *testing.T) {
-	d := Delta{
-		Branches: []conc.BranchBit{1, 5, 9, 200, 4096},
-		Funcs:    []string{"f", "g"},
-	}
-	tr := New()
-	tr.StartJournal()
-	tr.ApplyDelta(d)
-	if got := tr.Count(); got != len(d.Branches) {
-		t.Fatalf("count after first apply: %d", got)
-	}
-	re := tr.DrainDelta()
-	if !reflect.DeepEqual(re.Branches, d.Branches) || !reflect.DeepEqual(re.Funcs, d.Funcs) {
-		t.Fatalf("journaled receiver re-emitted %+v, want %+v", re, d)
-	}
-	tr.ApplyDelta(d) // overlap replay
-	tr.ApplyDelta(d)
-	if got := tr.Count(); got != len(d.Branches) {
-		t.Fatalf("count after replays: %d, want %d (double-counted)", got, len(d.Branches))
-	}
-	if re := tr.DrainDelta(); !re.Empty() {
-		t.Fatalf("replayed delta re-journaled entries: %+v", re)
-	}
-}
 
 // TestShardDistribution sanity-checks that consecutive branch bits spread
 // across shards (the contention argument rests on it).

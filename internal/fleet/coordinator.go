@@ -42,8 +42,9 @@ type Options struct {
 	Retry time.Duration
 
 	// SnapshotEvery is the progress-snapshot cadence in iterations.
-	// Default 8. Merge deltas flow every iteration regardless; this only
-	// paces the O(corpus) snapshot frames.
+	// Default 8. Progress snapshots are the store checkpoints, the reclaim
+	// resume points and the status endpoint's source, so this also sets how
+	// often a shard's status line advances.
 	SnapshotEvery int
 
 	// Profile asks every worker (via the welcome frame) to run its engines
@@ -75,9 +76,9 @@ type shardState struct {
 	leaseID    string // current lease, "" unless leased
 	worker     int    // session ID holding the lease
 	workerName string
-	deadline   time.Time      // lease expiry; advanced by renew/progress/merge
+	deadline   time.Time      // lease expiry; advanced by renew/progress
 	iters      int            // latest reported iteration count
-	errCount   int            // streamed error records (status only)
+	errCount   int            // error records in the latest snapshot (status only)
 	reclaims   int            // times this shard's lease was reclaimed
 	resume     *core.Snapshot // last progress snapshot: the reclaim-resume point
 }
@@ -199,22 +200,17 @@ func (c *Coordinator) checkDoneLocked() {
 // mergeSnapshotCovLocked folds a snapshot's coverage into the live status
 // tracker for target.
 func (c *Coordinator) mergeSnapshotCovLocked(target string, snap *core.Snapshot) {
-	tr := c.statusTrackerLocked(target)
+	tr := c.cov[target]
+	if tr == nil {
+		tr = coverage.New()
+		c.cov[target] = tr
+	}
 	for _, b := range snap.Covered {
 		tr.AddBranch(b)
 	}
 	for _, f := range snap.Funcs {
 		tr.AddFunc(f)
 	}
-}
-
-func (c *Coordinator) statusTrackerLocked(target string) *coverage.Tracker {
-	tr := c.cov[target]
-	if tr == nil {
-		tr = coverage.New()
-		c.cov[target] = tr
-	}
-	return tr
 }
 
 // Serve accepts worker connections on ln until the batch drains (or ln is
@@ -345,8 +341,6 @@ func (c *Coordinator) handle(conn net.Conn) {
 			}
 		case FrameRenew:
 			c.renew(f.Renew.Lease)
-		case FrameMerge:
-			c.applyMerge(f.Merge)
 		case FrameProgress:
 			c.applyProgress(f.Progress)
 		case FrameComplete:
@@ -397,9 +391,8 @@ func (c *Coordinator) grant(s *session) Frame {
 		}
 		if sh.resume != nil {
 			lease.Snapshot = sh.resume
-			// The live status tracker sees resumed coverage up front; the
-			// worker's journal will then only re-ship what its own
-			// iterations add.
+			// The live status tracker sees resumed coverage up front,
+			// before the new holder's first progress snapshot.
 			c.mergeSnapshotCovLocked(c.batch.Campaign(i).Target, sh.resume)
 		}
 		c.logf("fleet: leased shard %d (%s) to worker %d (%s) as %s",
@@ -434,25 +427,11 @@ func (c *Coordinator) renew(leaseID string) {
 	}
 }
 
-// applyMerge folds a streamed iteration delta into the live status
-// trackers. Stale leases are discarded; and because deltas are set unions,
-// replays from a reclaimed-then-re-leased shard cannot double-count.
-func (c *Coordinator) applyMerge(m *Merge) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	i := c.findLocked(m.Lease)
-	if i < 0 {
-		return
-	}
-	sh := &c.shards[i]
-	sh.deadline = time.Now().Add(c.opt.TTL)
-	sh.iters = m.Iters
-	sh.errCount += len(m.Errors)
-	c.statusTrackerLocked(c.batch.Campaign(i).Target).ApplyDelta(m.Delta)
-}
-
 // applyProgress checkpoints a shard: the snapshot becomes the store
-// checkpoint and the reclaim-resume point.
+// checkpoint and the reclaim-resume point, and it sets the shard's status
+// line and unions its coverage into the live status tracker. Stale leases
+// are discarded; and because a snapshot carries the whole campaign so far,
+// a re-leased shard's replayed iterations do not count their errors twice.
 func (c *Coordinator) applyProgress(p *Progress) {
 	if p.Snapshot == nil {
 		return
@@ -466,7 +445,9 @@ func (c *Coordinator) applyProgress(p *Progress) {
 	sh := &c.shards[i]
 	sh.deadline = time.Now().Add(c.opt.TTL)
 	sh.iters = p.Iters
+	sh.errCount = len(p.Snapshot.Errors)
 	sh.resume = p.Snapshot
+	c.mergeSnapshotCovLocked(c.batch.Campaign(i).Target, p.Snapshot)
 	c.batch.Checkpoint(i, p.Snapshot)
 }
 

@@ -2,6 +2,7 @@ package fleet_test
 
 import (
 	"bytes"
+	"errors"
 	"net"
 	"os"
 	"os/exec"
@@ -183,7 +184,7 @@ func TestFleetMatchesSched(t *testing.T) {
 // TestFleetWorkerKilledMidLease is the crash-recovery contract: a re-exec'd
 // worker process is SIGKILLed while it holds a lease mid-campaign; the
 // coordinator reclaims the shard on connection loss, re-leases it to a
-// replacement worker resuming from the last streamed snapshot, and the final
+// replacement worker resuming from the last progress snapshot, and the final
 // report is identical — including error records recorded once, not once per
 // lease — to the uninterrupted single-process run.
 func TestFleetWorkerKilledMidLease(t *testing.T) {
@@ -199,8 +200,8 @@ func TestFleetWorkerKilledMidLease(t *testing.T) {
 	})
 	victim := zooWorker(t, addr, "worker", "victim")
 
-	// Kill once the victim has streamed progress on some lease: poll the
-	// status text for a shard that is leased AND past iteration zero.
+	// Kill once the victim has sent a progress snapshot on some lease: poll
+	// the status text for a shard that is leased AND past iteration zero.
 	midLease := regexp.MustCompile(`leased\s+iters=[1-9]`)
 	deadline := time.Now().Add(30 * time.Second)
 	for {
@@ -414,6 +415,36 @@ func (dummySolver) SolveIncremental(preds []expr.Pred, prev map[expr.Var]int64, 
 	return solver.Result{}, false
 }
 func (dummySolver) Stats() solver.Stats { return solver.Stats{} }
+
+// TestHandshakeRefusesOtherVersion: a worker speaking another dispatch
+// protocol version — a version 2 worker would still send per-iteration
+// merge frames — gets no welcome, and the coordinator closes the connection
+// without registering a session.
+func TestHandshakeRefusesOtherVersion(t *testing.T) {
+	c, addr := startFleet(t, fleetSpecs(3)[:1], fleet.Options{})
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	err = fleet.WriteFrame(conn, fleet.Frame{Type: fleet.FrameHello, Hello: &fleet.Hello{
+		Proto: fleet.Version - 1, Name: "old",
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+	if f, err := fleet.ReadFrame(conn); err == nil {
+		t.Fatalf("coordinator answered a protocol %d hello with a %q frame", fleet.Version-1, f.Type)
+	} else if errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Fatal("coordinator kept the connection open")
+	}
+	if st := c.StatusText(); !strings.Contains(st, "workers: 0 connected") {
+		t.Fatalf("refused worker was registered:\n%s", st)
+	}
+	workInProcess(t, addr, 1) // drain the batch so the coordinator shuts down
+	c.Wait()
+}
 
 // TestFleetStatusText sanity-checks the status rendering mid-run without
 // depending on timing: a coordinator with no workers shows its shards

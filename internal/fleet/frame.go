@@ -1,8 +1,8 @@
 // Package fleet is the coordinator/worker campaign fleet: one long-running
 // `compi serve` process owns a scheduler batch and its campaign store, and
 // any number of `compi work` processes — on the same machine or not — lease
-// campaign shards from it over a TCP dispatch protocol, stream incremental
-// coverage and error merges back, and return final snapshots.
+// campaign shards from it over a TCP dispatch protocol, send progress
+// snapshots back as they run, and return final snapshots.
 //
 // The protocol reuses the out-of-process target protocol's wire form
 // (internal/proto's 4-byte big-endian length prefix + one JSON object per
@@ -15,27 +15,28 @@
 //	    -> lease-request {}
 //	    <- lease {status, id, shard, spec, snapshot?, ttl_ms, retry_ms}
 //	         status granted: run the shard —
-//	             -> lease-renew {lease}          (ttl/3 cadence, keeps the lease)
-//	             -> merge {lease, iters, delta, errors}   (per iteration, O(new))
-//	             -> progress {lease, iters, snapshot}     (every snapshot_every)
-//	             -> complete {lease, snapshot}            (final snapshot)
+//	             -> lease-renew {lease}               (ttl/3 cadence, keeps the lease)
+//	             -> progress {lease, iters, snapshot} (every snapshot_every)
+//	             -> complete {lease, snapshot}        (final snapshot)
 //	           or
-//	             -> error {lease, msg}           (deterministic spec error)
+//	             -> error {lease, msg}                (deterministic spec error)
 //	         status wait: sleep retry_ms, request again
 //	         status drained: exit 0
 //
 // Frames from the worker after its lease has been reclaimed (the coordinator
 // saw the deadline expire, or the connection dropped and the shard was
 // re-leased) carry a stale lease ID and are discarded — re-leased shards
-// resume from the last progress snapshot, and since coverage deltas are set
-// unions, replaying an overlapping stream can never double-count.
+// resume from the last progress snapshot.
 //
 // Determinism: the coordinator's final report is assembled from per-shard
 // FINAL snapshots merged in spec order by sched.Batch.Report — exactly how
 // sched.Run builds its report — so a fleet's result is pinned equal to a
 // single-process sched.Run over the same specs, regardless of worker count,
 // scheduling order, or how many times shards were reclaimed mid-flight. The
-// streamed merge deltas feed only the live status endpoint.
+// live status endpoint reads the same snapshots: each progress snapshot sets
+// its shard's iteration and error counts and unions its coverage into the
+// per-target status tracker, so the status advances every snapshot_every
+// iterations.
 package fleet
 
 import (
@@ -45,7 +46,6 @@ import (
 
 	"repro/internal/binstat"
 	"repro/internal/core"
-	"repro/internal/coverage"
 	"repro/internal/proto"
 	"repro/internal/spec"
 )
@@ -54,13 +54,14 @@ import (
 // target protocol's. The coordinator refuses a worker speaking a different
 // version; the frame schema is pinned by a golden-bytes test. Version 2
 // replaced the lease frame's bespoke wire spec with the canonical
-// spec.Campaign schema.
-const Version = 2
+// spec.Campaign schema. Version 3 dropped the per-iteration merge frame:
+// progress snapshots carry everything it did.
+const Version = 3
 
 // FrameType discriminates the dispatch protocol's frames.
 type FrameType string
 
-// The frame types of dispatch protocol version 1.
+// The frame types of the dispatch protocol.
 const (
 	// FrameHello opens a session (worker → coordinator).
 	FrameHello FrameType = "hello"
@@ -75,13 +76,10 @@ const (
 	// FrameRenew extends a lease's deadline (worker → coordinator).
 	FrameRenew FrameType = "lease-renew"
 	// FrameProgress checkpoints a shard (worker → coordinator): the current
-	// engine snapshot, which is both the coordinator's store checkpoint and
-	// the resume point should this lease be reclaimed.
+	// engine snapshot, which is the coordinator's store checkpoint, the
+	// resume point should this lease be reclaimed, and what the status
+	// endpoint shows.
 	FrameProgress FrameType = "progress"
-	// FrameMerge streams one iteration's incremental results (worker →
-	// coordinator): the coverage delta (only newly covered branches and
-	// functions — O(new), never the corpus) and any new error records.
-	FrameMerge FrameType = "merge"
 	// FrameComplete finishes a shard (worker → coordinator): the final
 	// snapshot the report row is built from.
 	FrameComplete FrameType = "complete"
@@ -100,7 +98,6 @@ type Frame struct {
 	Lease    *Lease        `json:"lease,omitempty"`
 	Renew    *Renew        `json:"renew,omitempty"`
 	Progress *Progress     `json:"progress,omitempty"`
-	Merge    *Merge        `json:"merge,omitempty"`
 	Complete *Complete     `json:"complete,omitempty"`
 	Error    *ErrorReport  `json:"error,omitempty"`
 }
@@ -181,17 +178,6 @@ type Progress struct {
 	Snapshot *core.Snapshot `json:"snapshot"`
 }
 
-// Merge streams one iteration's incremental results. Delta carries only the
-// branches and functions newly covered since the previous merge frame —
-// coverage.Tracker's journal guarantees O(new branches), not O(corpus) — and
-// Errors only the error records recorded since the previous frame.
-type Merge struct {
-	Lease  string             `json:"lease"`
-	Iters  int                `json:"iters"`
-	Delta  coverage.Delta     `json:"delta"`
-	Errors []core.ErrorRecord `json:"errors,omitempty"`
-}
-
 // Complete finishes a shard with its final snapshot. Profile, when present,
 // is the shard engine's phase-profile report (the worker ran with profiling
 // on); the coordinator folds it into the fleet-wide aggregate shown by the
@@ -226,8 +212,6 @@ func (f *Frame) validate() error {
 		ok = f.Renew != nil
 	case FrameProgress:
 		ok = f.Progress != nil
-	case FrameMerge:
-		ok = f.Merge != nil
 	case FrameComplete:
 		ok = f.Complete != nil
 	case FrameError:

@@ -8,7 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/conc"
 	"repro/internal/core"
 	"repro/internal/coverage"
 	"repro/internal/fleet"
@@ -22,8 +21,8 @@ import (
 // handshake. Changing either golden constant means the protocol changed and
 // Version must be bumped.
 const (
-	helloGolden   = `{"type":"hello","hello":{"proto":2,"name":"w1"}}`
-	welcomeGolden = `{"type":"welcome","welcome":{"proto":2,"worker":3,"batch":"batch-0abc","ttl_ms":10000,"retry_ms":200,"snapshot_every":8}}`
+	helloGolden   = `{"type":"hello","hello":{"proto":3,"name":"w1"}}`
+	welcomeGolden = `{"type":"welcome","welcome":{"proto":3,"worker":3,"batch":"batch-0abc","ttl_ms":10000,"retry_ms":200,"snapshot_every":8}}`
 )
 
 func TestHandshakeGolden(t *testing.T) {
@@ -48,9 +47,9 @@ func TestHandshakeGolden(t *testing.T) {
 			t.Fatalf("round trip changed type: %q", back.Type)
 		}
 	}
-	pin(fleet.Frame{Type: fleet.FrameHello, Hello: &fleet.Hello{Proto: 2, Name: "w1"}}, helloGolden)
+	pin(fleet.Frame{Type: fleet.FrameHello, Hello: &fleet.Hello{Proto: 3, Name: "w1"}}, helloGolden)
 	pin(fleet.Frame{Type: fleet.FrameWelcome, Welcome: &fleet.Welcome{
-		Proto: 2, Worker: 3, Batch: "batch-0abc", TTLMS: 10000, RetryMS: 200, SnapshotEvery: 8,
+		Proto: 3, Worker: 3, Batch: "batch-0abc", TTLMS: 10000, RetryMS: 200, SnapshotEvery: 8,
 	}}, welcomeGolden)
 }
 
@@ -66,12 +65,12 @@ func TestFrameValidation(t *testing.T) {
 		t.Fatalf("missing payload: %v", err)
 	}
 	// ...and on read, even when the bytes frame correctly.
-	payload, _ := json.Marshal(map[string]any{"type": "merge"})
+	payload, _ := json.Marshal(map[string]any{"type": "progress"})
 	var raw bytes.Buffer
 	raw.Write(binary.BigEndian.AppendUint32(nil, uint32(len(payload))))
 	raw.Write(payload)
 	if _, err := fleet.ReadFrame(&raw); err == nil || !strings.Contains(err.Error(), "without its payload") {
-		t.Fatalf("payloadless merge read: %v", err)
+		t.Fatalf("payloadless progress read: %v", err)
 	}
 	// Non-frame garbage is rejected by the shared codec's bounds check.
 	if _, err := fleet.ReadFrame(bytes.NewReader([]byte{0xff, 0xff, 0xff, 0xff, 'j'})); err == nil {
@@ -133,39 +132,5 @@ func TestLeaseSpecRoundTrip(t *testing.T) {
 		!strings.Contains(err.Error(), "Config.NewStrategy") ||
 		!strings.Contains(err.Error(), "cannot be dispatched") {
 		t.Fatalf("live strategy factory: %v", err)
-	}
-}
-
-// TestMergeFrameIsONewBranches pins the merge-frame size property at the
-// protocol level: after a shard has covered a large corpus, an iteration
-// that finds three new branches produces a merge frame a few hundred bytes
-// long, where shipping the whole corpus would cost kilobytes. (The tracker-
-// level guarantee lives in coverage's delta tests; this asserts the frame
-// encoding keeps it.)
-func TestMergeFrameIsONewBranches(t *testing.T) {
-	tr := coverage.New()
-	tr.StartJournal()
-	for b := 0; b < 10_000; b++ {
-		tr.AddBranch(conc.BranchBit(b))
-	}
-	tr.DrainDelta() // corpus already streamed in earlier frames
-	tr.AddBranch(10_001)
-	tr.AddBranch(10_002)
-	tr.AddBranch(10_003)
-
-	var frame bytes.Buffer
-	err := fleet.WriteFrame(&frame, fleet.Frame{Type: fleet.FrameMerge, Merge: &fleet.Merge{
-		Lease: "shard0.g1", Iters: 4242, Delta: tr.DrainDelta(),
-	}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	full, _ := json.Marshal(tr.Branches()) // the O(corpus) alternative
-	if frame.Len() >= len(full)/10 {
-		t.Fatalf("merge frame is %d bytes; full-corpus encoding is %d — delta lost its O(new) property",
-			frame.Len(), len(full))
-	}
-	if frame.Len() > 512 {
-		t.Fatalf("merge frame for 3 new branches is %d bytes", frame.Len())
 	}
 }

@@ -1,10 +1,7 @@
 package fleet
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
-	"io"
 	"net"
 	"os"
 	"sync"
@@ -81,7 +78,7 @@ func workOne(addr, name string, opt WorkerOptions) error {
 		return fmt.Errorf("fleet: worker %s: %w", name, err)
 	}
 	defer conn.Close()
-	var wmu sync.Mutex // conn writes: job loop, per-iteration callbacks, renew timer
+	var wmu sync.Mutex // conn writes: job loop, checkpoint callback, renew timer
 	write := func(f Frame) error {
 		wmu.Lock()
 		defer wmu.Unlock()
@@ -150,44 +147,10 @@ func dialRetry(addr string, window time.Duration) (net.Conn, error) {
 	}
 }
 
-// errorTail collects the engine's live error records (Config.ErrorLog writes
-// one JSON line per record) so merge frames can ship only the new ones.
-type errorTail struct {
-	mu   sync.Mutex
-	buf  bytes.Buffer
-	recs []core.ErrorRecord
-}
-
-func (t *errorTail) Write(p []byte) (int, error) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.buf.Write(p)
-	for {
-		line, err := t.buf.ReadBytes('\n')
-		if err != nil {
-			t.buf.Write(line) // partial line: keep for the next write
-			break
-		}
-		var rec core.ErrorRecord
-		if json.Unmarshal(line, &rec) == nil {
-			t.recs = append(t.recs, rec)
-		}
-	}
-	return len(p), nil
-}
-
-func (t *errorTail) drain() []core.ErrorRecord {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	recs := t.recs
-	t.recs = nil
-	return recs
-}
-
 // runLease executes one granted shard: restore the resume snapshot if any
-// (sched.NewEngine starts cold from a stale one), journal coverage, stream
-// per-iteration merges and periodic progress snapshots, renew the lease on a
-// timer, and finish with the final snapshot. Deterministic spec failures
+// (sched.NewEngine starts cold from a stale one), send a progress snapshot
+// every snapshotEvery iterations, renew the lease on a timer, and finish
+// with the final snapshot. Deterministic spec failures
 // (unknown target, unstartable external binary) are reported as error
 // frames; transport failures are simply dropped — the coordinator's lease
 // deadline handles a worker that can no longer speak.
@@ -206,12 +169,6 @@ func runLease(write func(Frame) error, lease *Lease, ttl time.Duration, snapshot
 		cfg.Profiler = binstat.New()
 	}
 
-	// Per-iteration callbacks. The engine is built after the closures, so
-	// they capture it through a variable assigned below; the engine never
-	// fires them before Run.
-	tail := &errorTail{}
-	cfg.ErrorLog = tail
-	var eng *core.Engine
 	if snapshotEvery <= 0 {
 		snapshotEvery = 8
 	}
@@ -221,19 +178,7 @@ func runLease(write func(Frame) error, lease *Lease, ttl time.Duration, snapshot
 			Lease: lease.ID, Iters: snap.Iters, Snapshot: snap,
 		}})
 	}
-	cfg.Trace = func(it core.IterationStat) {
-		write(Frame{Type: FrameMerge, Merge: &Merge{
-			Lease:  lease.ID,
-			Iters:  it.Iter + 1,
-			Delta:  eng.Coverage().DrainDelta(),
-			Errors: tail.drain(),
-		}})
-	}
-
-	eng = sched.NewEngine(cfg, lease.Snapshot)
-	// Journal only what this session adds: restored coverage is already on
-	// the coordinator's side of the ledger.
-	eng.Coverage().StartJournal()
+	eng := sched.NewEngine(cfg, lease.Snapshot)
 
 	renewEvery := ttl / 3
 	if renewEvery <= 0 {
@@ -261,5 +206,3 @@ func runLease(write func(Frame) error, lease *Lease, ttl time.Duration, snapshot
 	}})
 	logf("fleet: lease %s complete at %d iterations", lease.ID, final.Iters)
 }
-
-var _ io.Writer = (*errorTail)(nil) // Config.ErrorLog contract

@@ -189,54 +189,6 @@ func TestOldLayoutStoreOpensAndReindexes(t *testing.T) {
 	}
 }
 
-// TestStoreMinimizePreservesResume pins the minimization safety contract
-// (the compaction pin's shape): minimizing between every step of a
-// short-batch → longer-batch sequence must land on the same fingerprint as
-// never minimizing, and as the uninterrupted reference.
-func TestStoreMinimizePreservesResume(t *testing.T) {
-	if testing.Short() {
-		t.Skip("campaign test")
-	}
-	const k, n = 12, 30
-	want := fingerprintOf(Run(storeSpecs(n), Options{Workers: 2}))
-
-	var dropped int
-	runSeq := func(st *store.Store, minimize bool) *Report {
-		step := func() {
-			if minimize {
-				stats, err := st.Minimize()
-				if err != nil {
-					t.Fatal(err)
-				}
-				dropped += stats.Dropped
-			}
-		}
-		Run(storeSpecs(k), Options{Workers: 2, Store: st})
-		step()
-		Run(storeSpecs(n), Options{Workers: 2, Store: st})
-		step()
-		return Run(storeSpecs(n), Options{Workers: 2, Store: st})
-	}
-
-	plain := runSeq(openStore(t), false)
-	minimized := runSeq(openStore(t), true)
-	for _, c := range minimized.Campaigns {
-		if c.Err != nil || !c.Reused {
-			t.Fatalf("final minimized batch campaign %q: err=%v reused=%v", c.Label, c.Err, c.Reused)
-		}
-	}
-	got := fingerprintOf(minimized)
-	if !reflect.DeepEqual(got, fingerprintOf(plain)) {
-		t.Fatal("resume after minimize diverged from resume without minimize")
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatal("minimized-store sequence diverged from the uninterrupted reference")
-	}
-	if dropped == 0 {
-		t.Log("minimize dropped nothing (no subsumed corpus entries in this batch); fingerprint pin still holds")
-	}
-}
-
 // TestStoreWideCacheAcrossTargets: a batch over a store that batches on two
 // other targets already wrote is fingerprint-identical to a cold, storeless
 // run.

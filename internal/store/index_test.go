@@ -2,7 +2,6 @@ package store
 
 import (
 	"os"
-	"reflect"
 	"strings"
 	"testing"
 
@@ -260,74 +259,4 @@ func TestIndexChoosesLikeReindex(t *testing.T) {
 		t.Fatal(err)
 	}
 	check("reused elsewhere", "z-k", "b3", 30)
-}
-
-func TestMinimizeDropsSubsumedCorpus(t *testing.T) {
-	s, err := Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	snap := &core.Snapshot{
-		Version: core.SnapshotVersion, Program: "stencil", Iters: 10,
-		Corpus: map[string]map[string]int64{
-			"4/0": {"x": 1}, // covers {1,2,3} — retained (biggest set)
-			"4/1": {"x": 2}, // covers {1,2} — subsumed by 4/0
-			"4/2": {"x": 3}, // covers {9} — retained (unique branch)
-			"4/3": {"x": 4}, // no attribution — kept
-		},
-		CorpusCov: map[string][]conc.BranchBit{
-			"4/0": {1, 2, 3},
-			"4/1": {1, 2},
-			"4/2": {9},
-		},
-	}
-	if err := s.SaveCampaign("camp", snap); err != nil {
-		t.Fatal(err)
-	}
-	stats, err := s.Minimize()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.Campaigns != 1 || stats.Dropped != 1 || stats.Kept != 3 {
-		t.Fatalf("stats %+v", stats)
-	}
-	got, err := s.LoadCampaign("camp")
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantKeys := map[string]bool{"4/0": true, "4/2": true, "4/3": true}
-	for k := range got.Corpus {
-		if !wantKeys[k] {
-			t.Fatalf("kept subsumed entry %q", k)
-		}
-		delete(wantKeys, k)
-	}
-	if len(wantKeys) != 0 {
-		t.Fatalf("minimize dropped needed entries, missing %v", wantKeys)
-	}
-	if _, stale := got.CorpusCov["4/1"]; stale {
-		t.Fatal("dropped entry's attribution survived")
-	}
-	// Idempotent: a second pass drops nothing.
-	if stats, err := s.Minimize(); err != nil || stats.Dropped != 0 {
-		t.Fatalf("second pass: %+v err=%v", stats, err)
-	}
-}
-
-func TestCoverRetainedGreedy(t *testing.T) {
-	// Greedy picks a (gain 4) first; b is then fully subsumed, and c and d
-	// both gain exactly {5} — the lexicographic tie-break keeps c.
-	retained := coverRetained(map[string][]conc.BranchBit{
-		"a": {1, 2, 3, 4},
-		"b": {1, 2},
-		"c": {5},
-		"d": {3, 4, 5},
-	})
-	want := map[string]struct{}{"a": {}, "c": {}}
-	if !reflect.DeepEqual(retained, want) {
-		t.Fatalf("retained %v, want %v", retained, want)
-	}
-	if got := coverRetained(nil); len(got) != 0 {
-		t.Fatalf("empty cover retained %v", got)
-	}
 }

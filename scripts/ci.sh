@@ -112,7 +112,11 @@ if ! diff <(grep -E '^(iterations|covered|solver calls|error kinds)' "$STATE_DIR
   exit 1
 fi
 "$BIN_DIR/compi" sched -targets skeleton -seeds 3,4 -iters 60 -state-dir "$STATE_DIR/store" > /dev/null
-"$BIN_DIR/compi" store -dir "$STATE_DIR/store" | grep -q '^campaigns 2$' || {
+# CLI output goes to a file before grep reads it: `compi ... | grep -q`
+# under pipefail fails whenever grep exits at its first match and compi
+# dies of SIGPIPE on its next write.
+"$BIN_DIR/compi" store -dir "$STATE_DIR/store" > "$STATE_DIR/store.out"
+grep -q '^campaigns 2$' "$STATE_DIR/store.out" || {
   echo "compi store could not read back the state dir" >&2; exit 1; }
 go test ./internal/sched -run 'TestKillResume|TestStoreBatchResumeEqualsFresh|TestStoreCrossBatchReuse|TestStoreWriteFailuresSurface' -count=1
 rm -rf "$STATE_DIR"
@@ -128,23 +132,6 @@ fi
 grep -q 'store write failed' "$FAIL_DIR/sched.out" || {
   echo "compi sched did not report the failed store writes" >&2; exit 1; }
 rm -rf "$FAIL_DIR"
-
-echo "== corpus minimization preserves resume (store minimize between batches) =="
-# Minimizing the corpus between a short batch and its longer resume must not
-# change the resumed trajectory: the engine writes the corpus but never reads
-# it back into the exploration.
-MIN_DIR="$(mktemp -d)"
-"$BIN_DIR/compi" sched -targets skeleton -seeds 3,4 -iters 40 -state-dir "$MIN_DIR/store" > /dev/null
-"$BIN_DIR/compi" store minimize -dir "$MIN_DIR/store" | grep -q '^minimized' || {
-  echo "compi store minimize reported nothing" >&2; exit 1; }
-"$BIN_DIR/compi" sched -targets skeleton -seeds 3,4 -iters 80 -state-dir "$MIN_DIR/store" > "$MIN_DIR/resumed.out"
-"$BIN_DIR/compi" sched -targets skeleton -seeds 3,4 -iters 80 > "$MIN_DIR/fresh.out"
-if ! diff <(grep -E 'branches covered|^  \[' "$MIN_DIR/resumed.out") \
-          <(grep -E 'branches covered|^  \[' "$MIN_DIR/fresh.out"); then
-  echo "resume after store minimize diverged from the storeless run" >&2
-  exit 1
-fi
-rm -rf "$MIN_DIR"
 
 echo "== compi report smoke (index queries on a two-target -schedules batch) =="
 # The campaign index must answer "which setups found error X" and "coverage
@@ -167,9 +154,11 @@ for tgt in mworder relay; do
     echo "compi report -error did not attribute the deadlock to $tgt" >&2; exit 1; }
 done
 rm "$REP_DIR/store/index.json"
-"$BIN_DIR/compi" store reindex -dir "$REP_DIR/store" | grep -q '^reindexed' || {
+"$BIN_DIR/compi" store reindex -dir "$REP_DIR/store" > "$REP_DIR/reindex.out"
+grep -q '^reindexed' "$REP_DIR/reindex.out" || {
   echo "compi store reindex failed on a deleted index" >&2; exit 1; }
-"$BIN_DIR/compi" report -dir "$REP_DIR/store" -error 'wait-for cycle' | grep -q mworder || {
+"$BIN_DIR/compi" report -dir "$REP_DIR/store" -error 'wait-for cycle' > "$REP_DIR/reindexed.out"
+grep -q mworder "$REP_DIR/reindexed.out" || {
   echo "compi report broken after reindex" >&2; exit 1; }
 rm -rf "$REP_DIR"
 
@@ -261,8 +250,8 @@ go -C bench test .
 # prints every metric's delta against the previous CI run.
 go build -o "$BIN_DIR/compi-bench" ./cmd/compi-bench
 
-echo "== benchmarks (sched speedup, fleet merge delta) =="
-go test -run '^$' -bench 'BenchmarkSchedSpeedup|BenchmarkFleetMergeDelta' \
+echo "== benchmarks (sched speedup) =="
+go test -run '^$' -bench 'BenchmarkSchedSpeedup' \
   -benchtime 5x . | "$BIN_DIR/compi-bench" -out BENCH_fleet.json
 echo "wrote BENCH_fleet.json"
 
@@ -282,10 +271,9 @@ echo "== engine throughput trajectory (BENCH_engine.json) =="
 echo "wrote BENCH_engine.json"
 
 echo "== store service trajectory (BENCH_store.json) =="
-# Index query latency (the compi report read path), corpus-minimization
-# throughput and the cost of one campaign checkpoint, tracked run-over-run
-# like the engine numbers.
-go test -run '^$' -bench 'BenchmarkStoreQuery|BenchmarkMinimize|BenchmarkCheckpoint' -benchtime 5x . \
+# Index query latency (the compi report read path) and the cost of one
+# campaign checkpoint, tracked run-over-run like the engine numbers.
+go test -run '^$' -bench 'BenchmarkStoreQuery|BenchmarkCheckpoint' -benchtime 5x . \
   | "$BIN_DIR/compi-bench" -out BENCH_store.json
 echo "wrote BENCH_store.json"
 
