@@ -395,6 +395,38 @@ func BenchmarkMPI(b *testing.B) {
 	})
 }
 
+// traceLog keeps BenchmarkTraceRecord's logs reachable, so the compiler
+// cannot drop the work that builds them.
+var traceLog *conc.Log
+
+// BenchmarkTraceRecord is the trace-recording layer benchmark, over the
+// public conc API: one process records traceBranches branch events over a
+// symbolic input with constraint set reduction on, then builds its log.
+// Heavy is the focus process; Light records coverage only. The events cycle
+// over traceSites sites and each site's outcome flips once, halfway, so
+// reduction keeps each site's first predicate and its flip and drops the
+// rest. Each reports ns per branch event.
+func BenchmarkTraceRecord(b *testing.B) {
+	const traceBranches, traceSites = 2048, 64
+	vars := conc.NewVarSpace()
+	inputs := map[string]int64{"x": 7}
+	for _, mode := range []conc.Mode{conc.Heavy, conc.Light} {
+		b.Run(mode.String(), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				p := conc.NewProc(0, vars, inputs, conc.Config{Mode: mode, Reduction: true})
+				x := p.InputInt("x")
+				for j := 0; j < traceBranches; j++ {
+					limit := conc.K(int64(j * 16 / traceBranches))
+					p.Branch(conc.CondID(j%traceSites), conc.LT(x, limit))
+				}
+				traceLog = p.Log()
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*traceBranches), "ns/branch")
+		})
+	}
+}
+
 // mpiSpec is a launch of n Light ranks running main.
 func mpiSpec(n int, schedules bool, main func(*mpi.Proc) int) mpi.Spec {
 	return mpi.Spec{

@@ -153,7 +153,10 @@ func (m *driveMode) Run(args []string) int {
 			opt.Profiler = binstat.New()
 		}
 		if *m.stateDir != "" {
-			st := openStateDir(*m.stateDir)
+			st, code := openStateDir(*m.stateDir)
+			if st == nil {
+				return code
+			}
 			defer st.Close()
 			opt.Store = st
 		}

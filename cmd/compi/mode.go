@@ -73,15 +73,14 @@ func toSpecs(cs []spec.Campaign) []sched.Spec {
 }
 
 // openStateDir opens (creating if needed) the campaign store behind a
-// -state-dir flag, exiting with the store's explanation when it is
-// unusable (e.g. written by a newer schema).
-func openStateDir(dir string) *store.Store {
+// -state-dir flag. When the store is unusable (e.g. written by a newer
+// schema) it prints the store's explanation and returns nil and exit code 1.
+func openStateDir(dir string) (*store.Store, int) {
 	st, err := store.Open(dir)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "compi: %v\n", err)
-		os.Exit(1)
+		return nil, fatalf("compi: %v", err)
 	}
-	return st
+	return st, 0
 }
 
 // summarize prints a batch report's summary and returns the batch modes'

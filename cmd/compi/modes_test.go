@@ -2,6 +2,8 @@ package main
 
 import (
 	"flag"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -106,5 +108,44 @@ func TestStoreUnknownAction(t *testing.T) {
 		if got := newStoreMode().Run(args); got != 2 {
 			t.Errorf("compi store %v exited %d, want 2", args, got)
 		}
+	}
+}
+
+// TestStoreDirExitCodes: the modes that read an existing store return their
+// exit code through Run instead of exiting the process: 2 when no directory
+// is given, 1 when the path is not a directory.
+func TestStoreDirExitCodes(t *testing.T) {
+	file := filepath.Join(t.TempDir(), "not-a-dir")
+	if err := os.WriteFile(file, []byte("x"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, mode := range []struct {
+		name string
+		run  func(args []string) int
+	}{
+		{"store", func(args []string) int { return newStoreMode().Run(args) }},
+		{"store compact", func(args []string) int { return newStoreMode().Run(append([]string{"compact"}, args...)) }},
+		{"store reindex", func(args []string) int { return newStoreMode().Run(append([]string{"reindex"}, args...)) }},
+		{"report", func(args []string) int { return newReportMode().Run(args) }},
+	} {
+		if got := mode.run(nil); got != 2 {
+			t.Errorf("compi %s without -dir exited %d, want 2", mode.name, got)
+		}
+		if got := mode.run([]string{"-dir", file}); got != 1 {
+			t.Errorf("compi %s -dir <file> exited %d, want 1", mode.name, got)
+		}
+	}
+}
+
+// TestSchedUnopenableStateDir: a -state-dir the store cannot open fails the
+// batch with exit 1 before any campaign runs.
+func TestSchedUnopenableStateDir(t *testing.T) {
+	file := filepath.Join(t.TempDir(), "not-a-dir")
+	if err := os.WriteFile(file, []byte("x"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	args := []string{"-targets", "skeleton", "-seeds", "3", "-iters", "1", "-state-dir", file}
+	if got := newSchedMode().Run(args); got != 1 {
+		t.Errorf("compi sched -state-dir <file> exited %d, want 1", got)
 	}
 }

@@ -47,7 +47,9 @@ func (m *reportMode) Run(args []string) int {
 			errFlagSet = true
 		}
 	})
-	storeDir(m.fs, m.dir, "compi report")
+	if code := storeDir(m.fs, m.dir, "compi report"); code != 0 {
+		return code
+	}
 	st, err := store.Open(*m.dir)
 	if err != nil {
 		return fatalf("compi report: %v", err)

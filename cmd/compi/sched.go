@@ -50,7 +50,10 @@ func (m *schedMode) Run(args []string) int {
 		opt.Profiler = binstat.New()
 	}
 	if *m.stateDir != "" {
-		st := openStateDir(*m.stateDir)
+		st, code := openStateDir(*m.stateDir)
+		if st == nil {
+			return code
+		}
 		defer st.Close()
 		opt.Store = st
 	}

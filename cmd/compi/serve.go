@@ -62,7 +62,10 @@ func (m *serveMode) Run(args []string) int {
 	opt := fleet.Options{BatchID: *m.batchID, TTL: *m.ttl,
 		SnapshotEvery: *m.snapEvery, Profile: m.binder.Profile()}
 	if *m.stateDir != "" {
-		st := openStateDir(*m.stateDir)
+		st, code := openStateDir(*m.stateDir)
+		if st == nil {
+			return code
+		}
 		defer st.Close()
 		opt.Store = st
 	}

@@ -35,20 +35,19 @@ func (m *storeMode) Synopsis() string {
 func (m *storeMode) Flags() *flag.FlagSet { return m.fs }
 
 // storeDir resolves the -dir flag (with a bare positional fallback) against
-// an existing store directory, or exits.
-func storeDir(fs *flag.FlagSet, dir *string, what string) string {
+// an existing store directory. It returns 0, or prints why not and returns
+// the exit code: 2 when no directory was given, 1 when it is not one.
+func storeDir(fs *flag.FlagSet, dir *string, what string) int {
 	if *dir == "" && fs.NArg() == 1 {
 		*dir = fs.Arg(0)
 	}
 	if *dir == "" {
-		fmt.Fprintf(os.Stderr, "%s: -dir is required\n", what)
-		os.Exit(2)
+		return usagef("%s: -dir is required", what)
 	}
 	if fi, err := os.Stat(*dir); err != nil || !fi.IsDir() {
-		fmt.Fprintf(os.Stderr, "%s: %s is not a store directory\n", what, *dir)
-		os.Exit(1)
+		return fatalf("%s: %s is not a store directory", what, *dir)
 	}
-	return *dir
+	return 0
 }
 
 func (m *storeMode) Run(args []string) int {
@@ -66,7 +65,9 @@ func (m *storeMode) Run(args []string) int {
 	if m.fs.NArg() > 1 || m.fs.NArg() == 1 && *m.dir != "" {
 		return usagef("compi store: unknown action %q (actions: compact, reindex)", m.fs.Arg(0))
 	}
-	storeDir(m.fs, m.dir, "compi store")
+	if code := storeDir(m.fs, m.dir, "compi store"); code != 0 {
+		return code
+	}
 	st, err := store.Open(*m.dir)
 	if err != nil {
 		return fatalf("compi store: %v", err)
@@ -156,7 +157,9 @@ func (m *storeMode) runCompact(args []string) int {
 	fs := newFlagSet("store compact")
 	dir := fs.String("dir", "", "campaign store directory (required)")
 	fs.Parse(args)
-	storeDir(fs, dir, "compi store compact")
+	if code := storeDir(fs, dir, "compi store compact"); code != 0 {
+		return code
+	}
 	st, err := store.Open(*dir)
 	if err != nil {
 		return fatalf("compi store compact: %v", err)
@@ -182,7 +185,9 @@ func (m *storeMode) runReindex(args []string) int {
 	fs := newFlagSet("store reindex")
 	dir := fs.String("dir", "", "campaign store directory (required)")
 	fs.Parse(args)
-	storeDir(fs, dir, "compi store reindex")
+	if code := storeDir(fs, dir, "compi store reindex"); code != 0 {
+		return code
+	}
 	st, err := store.Open(*dir)
 	if err != nil {
 		return fatalf("compi store reindex: %v", err)

@@ -87,16 +87,18 @@ func TestCondAndNot(t *testing.T) {
 	p, _ := heavyProc(t)
 	x := p.InputInt("x") // random in [-10,100]
 	c := LT(x, K(1000))
-	if !c.B || c.P == nil {
+	cp, ok := c.Pred()
+	if !c.B || !ok {
 		t.Fatalf("cond: %+v", c)
 	}
 	n := Not(c)
-	if n.B || n.P == nil || n.P.Rel != c.P.Rel.Negate() {
+	np, ok := n.Pred()
+	if n.B || !ok || np.Rel != cp.Rel.Negate() || !expr.Equal(np.E, cp.E) {
 		t.Fatalf("not: %+v", n)
 	}
 	// Concrete comparison carries no predicate.
 	cc := EQ(K(1), K(1))
-	if !cc.B || cc.P != nil {
+	if _, ok := cc.Pred(); !cc.B || ok {
 		t.Fatalf("concrete cond: %+v", cc)
 	}
 }
@@ -154,10 +156,31 @@ func TestRandomInputsSeedLazily(t *testing.T) {
 	})
 	t.Run("supplied inputs never seed", func(t *testing.T) {
 		p := NewProc(0, NewVarSpace(), map[string]int64{"n": 4, "m": 2}, Config{Mode: Heavy, Seed: 11})
+		shared := NewStream(11)
+		p.DrawFrom(shared)
 		p.InputInt("n")
 		p.InputIntCap("m", 8)
-		if p.rng != nil {
+		if shared.src != nil {
 			t.Fatal("Proc seeded its random source although every input was supplied")
+		}
+	})
+	t.Run("ranks sharing a stream draw the eager values", func(t *testing.T) {
+		shared := NewStream(11)
+		var procs []*Proc
+		for r := 0; r < 3; r++ {
+			p := NewProc(r, nil, nil, Config{Mode: Light, Seed: 11})
+			p.DrawFrom(shared)
+			procs = append(procs, p)
+		}
+		eager := rand.New(rand.NewSource(11))
+		want := []int64{-10 + eager.Int63n(111), -10 + eager.Int63n(111)}
+		// Interleaved reads: every rank still starts from the stream's start.
+		for i, name := range []string{"a", "b"} {
+			for r, p := range procs {
+				if got := p.InputInt(name).C; got != want[i] {
+					t.Fatalf("rank %d input %s drew %d, an eagerly seeded source %d", r, name, got, want[i])
+				}
+			}
 		}
 	})
 }

@@ -87,16 +87,18 @@ func TestCondMirrorInvariant(t *testing.T) {
 		y := Sub(b, K(int64(rng.Intn(9))))
 		conds := []Cond{LT(x, y), LE(x, y), GT(x, y), GE(x, y), EQ(x, y), NE(x, y)}
 		for i, c := range conds {
-			if c.P == nil {
+			cp, sym := c.Pred()
+			if !sym {
 				continue
 			}
-			hold, ok := c.P.Eval(env)
+			hold, ok := cp.Eval(env)
 			if !ok || hold != c.B {
 				t.Fatalf("trial %d cond %d: predicate %s hold=%v ok=%v but concrete %v",
-					trial, i, c.P, hold, ok, c.B)
+					trial, i, cp, hold, ok, c.B)
 			}
 			n := Not(c)
-			if nh, _ := n.P.Eval(env); nh != n.B {
+			np, _ := n.Pred()
+			if nh, _ := np.Eval(env); nh != n.B {
 				t.Fatalf("trial %d cond %d: negation inconsistent", trial, i)
 			}
 		}

@@ -2,7 +2,6 @@ package conc
 
 import (
 	"fmt"
-	"math/rand"
 	"slices"
 	"time"
 
@@ -185,28 +184,34 @@ type Config struct {
 	// and across iterations; it must not be mutated after the launch.
 	Params map[string]int64
 	// TraceHint is the expected branch-event count (typically the previous
-	// iteration's trace length) used to pre-size the trace and covered
-	// buffers. Purely an allocation hint: zero or wrong values change
-	// nothing but reallocation counts.
+	// iteration's trace length) used to pre-size the trace buffer. Purely
+	// an allocation hint: zero or wrong values change nothing but
+	// reallocation counts.
 	TraceHint int
 }
 
 // Proc is the per-process concolic runtime state. One Proc exists per MPI
 // rank per test iteration; only the focus rank runs in Heavy mode.
+//
+// The branch tables are indexed by site, which target.Builder numbers
+// densely from 0, and grow to the largest site seen.
 type Proc struct {
 	cfg  Config
 	rank int
 	vars *VarSpace // nil unless Heavy
 	in   map[string]int64
-	rng  *rand.Rand // seeded on the first missing input: the engine usually supplies all
+	// draws supplies missing inputs from the stream of cfg.Seed; its stream
+	// is made on the first missing input unless DrawFrom shared one.
+	draws cursor
 
-	covered     map[BranchBit]struct{}
+	covered     []bool      // by branch bit
+	nCovered    int         // true entries in covered
 	trace       []BranchBit // heavy only: every branch event, in order
 	path        []PathEntry
 	rawCount    int64 // constraints that would exist without reduction
 	obs         []VarObs
 	obsSeen     map[expr.Var]struct{}
-	lastOutcome map[CondID]bool
+	lastOutcome []outcome // heavy only: by site
 	mapping     [][]int32 // local→global rank rows, one per sub-communicator
 	matches     []MatchRec
 	funcsHit    map[string]struct{}
@@ -229,14 +234,12 @@ func NewProc(rank int, vars *VarSpace, inputs map[string]int64, cfg Config) *Pro
 		panic("conc: Heavy mode requires a VarSpace")
 	}
 	p := &Proc{
-		cfg:         cfg,
-		rank:        rank,
-		vars:        vars,
-		in:          inputs,
-		covered:     make(map[BranchBit]struct{}, coveredHint(cfg.TraceHint)),
-		obsSeen:     map[expr.Var]struct{}{},
-		lastOutcome: map[CondID]bool{},
-		funcsHit:    map[string]struct{}{},
+		cfg:      cfg,
+		rank:     rank,
+		vars:     vars,
+		in:       inputs,
+		obsSeen:  map[expr.Var]struct{}{},
+		funcsHit: map[string]struct{}{},
 	}
 	if cfg.Mode == Heavy && cfg.TraceHint > 0 {
 		p.trace = make([]BranchBit, 0, cfg.TraceHint)
@@ -244,15 +247,15 @@ func NewProc(rank int, vars *VarSpace, inputs map[string]int64, cfg Config) *Pro
 	return p
 }
 
-// coveredHint sizes the covered set from the trace hint: distinct branches
-// are a small fraction of branch events, and over-reserving a map wastes
-// memory per rank per iteration.
-func coveredHint(traceHint int) int {
-	h := traceHint / 8
-	if h > 4096 {
-		h = 4096
+// DrawFrom makes s, the stream of this process's seed, the source of the
+// values generated for missing inputs, so that the ranks of a launch share
+// one generated stream. It must be called before the process reads an
+// input, and panics when s replays another seed.
+func (p *Proc) DrawFrom(s *Stream) {
+	if s.Seed() != p.cfg.Seed {
+		panic(fmt.Sprintf("conc: stream of seed %d shared with a process of seed %d", s.Seed(), p.cfg.Seed))
 	}
-	return h
+	p.draws = s.cursor()
 }
 
 // Rank returns the global rank this runtime belongs to.
@@ -375,10 +378,10 @@ func (p *Proc) randomValue(cap int64, hasCap bool) int64 {
 	if hi < lo {
 		return hi
 	}
-	if p.rng == nil {
-		p.rng = rand.New(rand.NewSource(p.cfg.Seed))
+	if p.draws.s == nil {
+		p.draws = NewStream(p.cfg.Seed).cursor()
 	}
-	return lo + p.rng.Int63n(hi-lo+1)
+	return lo + p.draws.Int63n(hi-lo+1)
 }
 
 func (p *Proc) observe(o VarObs) {
@@ -442,38 +445,72 @@ func (p *Proc) AddCommRow(globalRanks []int32) int {
 // Branch records the conditional site and, in Heavy mode, the path
 // constraint, applying constraint set reduction when enabled: a constraint
 // is kept only on the site's first encounter or when the outcome flips
-// relative to the previous observation (§IV-C).
+// relative to the previous observation (§IV-C). The predicate tree is built
+// only for a constraint that is kept.
 func (p *Proc) Branch(site CondID, c Cond) bool {
 	p.Tick()
 	if p.cfg.Mode == Off {
 		return c.B
 	}
-	p.covered[Bit(site, c.B)] = struct{}{}
-	if p.cfg.Mode == Heavy {
-		// Full symbolic execution logs the entire branch trace (CREST's
-		// szd_execution file); this is the bulk of the heavy process's
-		// memory and I/O cost that two-way instrumentation avoids on
-		// non-focus ranks.
-		p.trace = append(p.trace, Bit(site, c.B))
+	bit := Bit(site, c.B)
+	if int(bit) >= len(p.covered) {
+		p.growSites(site)
 	}
-	if p.cfg.Mode == Heavy && c.P != nil {
-		p.rawCount++
-		record := true
-		if p.cfg.Reduction {
-			if last, seen := p.lastOutcome[site]; seen && last == c.B {
-				record = false
-			}
-		}
-		if record {
-			pred := *c.P
-			if !c.B {
-				pred = pred.Negate()
-			}
-			p.path = append(p.path, PathEntry{Site: site, Outcome: c.B, Pred: pred})
-		}
+	if !p.covered[bit] {
+		p.covered[bit] = true
+		p.nCovered++
 	}
-	p.lastOutcome[site] = c.B
+	if p.cfg.Mode != Heavy {
+		return c.B
+	}
+	// Full symbolic execution logs the entire branch trace (CREST's
+	// szd_execution file); this is the bulk of the heavy process's memory
+	// and I/O cost that two-way instrumentation avoids on non-focus ranks.
+	p.trace = append(p.trace, bit)
+	last := p.lastOutcome[site]
+	p.lastOutcome[site] = outcomeOf(c.B)
+	if !c.symbolic() {
+		return c.B
+	}
+	p.rawCount++
+	if p.cfg.Reduction && last == outcomeOf(c.B) {
+		return c.B
+	}
+	rel := c.rel
+	if !c.B {
+		rel = rel.Negate()
+	}
+	p.path = append(p.path, PathEntry{Site: site, Outcome: c.B, Pred: c.pred(rel)})
 	return c.B
+}
+
+// outcome is a site's last observed outcome, or unseen.
+type outcome uint8
+
+const (
+	unseen outcome = iota
+	tookTrue
+	tookFalse
+)
+
+func outcomeOf(b bool) outcome {
+	if b {
+		return tookTrue
+	}
+	return tookFalse
+}
+
+// minSites is the smallest site table a process allocates.
+const minSites = 64
+
+// growSites extends the branch tables to cover site, at least doubling
+// them. Only a Heavy process keeps last outcomes: reduction needs them.
+func (p *Proc) growSites(site CondID) {
+	n := max(int(site)+1, len(p.covered), minSites)
+	p.covered = append(p.covered, make([]bool, 2*n-len(p.covered))...)
+	if p.cfg.Mode == Heavy {
+		p.lastOutcome = append(p.lastOutcome, make([]outcome, n-len(p.lastOutcome))...)
+	}
 }
 
 // Assert panics with an assertion-violation error when ok is false, modelling
@@ -487,11 +524,12 @@ func (p *Proc) Assert(ok bool, format string, args ...any) {
 // Log assembles this process's end-of-run output — the file a COMPI-
 // instrumented process writes for the testing framework to read back.
 func (p *Proc) Log() *Log {
-	covered := make([]BranchBit, 0, len(p.covered))
-	for b := range p.covered {
-		covered = append(covered, b)
+	covered := make([]BranchBit, 0, p.nCovered)
+	for b, hit := range p.covered {
+		if hit {
+			covered = append(covered, BranchBit(b))
+		}
 	}
-	slices.Sort(covered)
 	funcs := make([]string, 0, len(p.funcsHit))
 	for f := range p.funcsHit {
 		funcs = append(funcs, f)

@@ -99,22 +99,40 @@ func Neg(a Value) Value {
 	return out
 }
 
-// Cond is the result of a comparison: the concrete truth value plus, when
-// either operand was symbolic, the predicate that holds iff B is true.
+// Cond is the result of a comparison: the concrete truth value plus the
+// operands and relation it compared. The predicate that holds iff B is true
+// is built only when asked for (Pred), so a branch whose constraint set
+// reduction drops the predicate never builds its tree.
 type Cond struct {
-	B bool
-	P *expr.Pred
+	B    bool
+	rel  expr.Rel
+	l, r Value
 }
 
 func compare(a, b Value, rel expr.Rel, hold bool) Cond {
-	c := Cond{B: hold}
-	if a.E != nil || b.E != nil {
-		p := expr.Compare(exprOf(a), exprOf(b), rel)
-		if _, constant := p.E.IsConst(); !constant {
-			c.P = &p
-		}
+	return Cond{B: hold, rel: rel, l: a, r: b}
+}
+
+// symbolic reports whether c has a predicate: some operand is symbolic and
+// not a constant (a comparison of constants folds to a constant).
+func (c Cond) symbolic() bool { return !concrete(c.l) || !concrete(c.r) }
+
+// concrete reports whether v is a plain value or a constant expression.
+func concrete(v Value) bool { return v.E == nil || v.E.Op == expr.OpConst }
+
+// Pred returns the normalized predicate "l - r rel 0" that holds iff B is
+// true, building a fresh tree on each call; ok is false when the comparison
+// was concrete.
+func (c Cond) Pred() (p expr.Pred, ok bool) {
+	if !c.symbolic() {
+		return expr.Pred{}, false
 	}
-	return c
+	return c.pred(c.rel), true
+}
+
+// pred builds the predicate over c's operands under rel.
+func (c Cond) pred(rel expr.Rel) expr.Pred {
+	return expr.Compare(exprOf(c.l), exprOf(c.r), rel)
 }
 
 // LT returns the condition a < b.
@@ -137,12 +155,8 @@ func NE(a, b Value) Cond { return compare(a, b, expr.NE, a.C != b.C) }
 
 // Not returns the logical negation of c.
 func Not(c Cond) Cond {
-	out := Cond{B: !c.B}
-	if c.P != nil {
-		p := c.P.Negate()
-		out.P = &p
-	}
-	return out
+	c.B, c.rel = !c.B, c.rel.Negate()
+	return c
 }
 
 // True is a concrete condition, useful for loop guards instrumented only for

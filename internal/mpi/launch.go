@@ -178,8 +178,14 @@ func (rt *Runtime) run(spec *Spec, finished chan<- struct{}) {
 	for i := range ranks {
 		ranks[i] = i
 	}
+	// Missing inputs are drawn from one stream per seed, which every rank
+	// of the launch replays from its start.
+	var draws *conc.Stream
 	for r := range procs {
 		cfg := spec.Conc(r)
+		if draws == nil || draws.Seed() != cfg.Seed {
+			draws = conc.NewStream(cfg.Seed)
+		}
 		var vars *conc.VarSpace
 		if cfg.Mode == conc.Heavy {
 			if spec.VarsFor != nil {
@@ -191,6 +197,7 @@ func (rt *Runtime) run(spec *Spec, finished chan<- struct{}) {
 		worlds[r] = Comm{id: 0, ranks: ranks, local: r, world: true, concIdx: -1}
 		p := &procs[r]
 		*p = Proc{rt: rt, rank: r, world: &worlds[r], CC: conc.NewProc(r, vars, spec.Inputs, cfg)}
+		p.CC.DrawFrom(draws)
 		resume[r] = newCoroutine(func(yield func()) {
 			p.yield = yield
 			defer func() {

@@ -18,6 +18,12 @@
 // marking (§III-A): CommRank on the world communicator marks an rw variable,
 // CommSize marks sw, and CommRank on a split communicator marks rc and
 // registers the local→global rank mapping row (§III-D).
+//
+// Message payloads, collective results and Requests are carved from
+// per-launch slabs rather than allocated one by one. Each buffer is zeroed
+// and has cap == len, so appending to one never reaches the next. Slabs die
+// with their launch and are never reused by another, because Launch may
+// abandon a scheduler whose rank never yields while it still runs.
 package mpi
 
 import (
@@ -56,6 +62,11 @@ type Runtime struct {
 
 	commIDs  map[commKey]int
 	nextComm int
+
+	// The unused rest of this launch's current slabs (slab.go).
+	floats    []float64
+	floatSlab int // size of the latest float slab
+	requests  []Request
 
 	done    chan struct{} // closed by Launch when the watchdog expires
 	resMu   sync.Mutex

@@ -629,3 +629,52 @@ func TestLogsCollectedFromAllRanks(t *testing.T) {
 			res.Ranks[1].LogBytes, res.Ranks[0].LogBytes)
 	}
 }
+
+// TestMessageBuffersDisjoint: payloads and collective results are carved
+// from per-launch slabs, each with cap == len, so a rank appending to or
+// writing into one buffer never reaches another; and a launch needing more
+// buffers, and more requests, than one slab holds gets fresh ones.
+func TestMessageBuffersDisjoint(t *testing.T) {
+	const msgs = 3 * requestSlab
+	res := run(t, 2, func(p *Proc) int {
+		w := p.World()
+		if p.Rank() == 0 {
+			for i := 0; i < msgs; i++ {
+				p.Isend(w, 1, i, []float64{float64(i), float64(i)})
+			}
+			big := make([]float64, 2*maxFloatSlab)
+			big[len(big)-1] = 9
+			p.Send(w, 1, msgs, big)
+		} else {
+			reqs := make([]*Request, msgs)
+			for i := range reqs {
+				reqs[i] = p.Irecv(w, 0, i)
+			}
+			p.Waitall(reqs)
+			for _, r := range reqs {
+				d := r.Data()
+				if cap(d) != len(d) {
+					return 1
+				}
+				_ = append(d, 77) // reallocates rather than spilling into the next payload
+				d[1] = -1
+			}
+			for i, r := range reqs {
+				if !reflect.DeepEqual(r.Data(), []float64{float64(i), -1}) {
+					return 2
+				}
+			}
+			if big, _ := p.Recv(w, 0, msgs); len(big) != 2*maxFloatSlab || big[len(big)-1] != 9 {
+				return 3
+			}
+		}
+		sum := p.Allreduce(w, OpSum, []float64{1, 2})
+		scan := p.Scan(w, OpSum, []float64{1})
+		if cap(sum) != len(sum) || !reflect.DeepEqual(sum, []float64{2, 4}) ||
+			!reflect.DeepEqual(scan, []float64{float64(p.Rank() + 1)}) {
+			return 4
+		}
+		return 0
+	})
+	requireAllOK(t, res)
+}

@@ -19,14 +19,18 @@ type Request struct {
 // buffered, so the request is already complete; Wait only retrieves status.
 func (p *Proc) Isend(c *Comm, dest, tag int, data []float64) *Request {
 	p.Send(c, dest, tag, data)
-	return &Request{proc: p, comm: c, done: true, status: Status{Source: c.local, Tag: tag}}
+	r := p.rt.newRequest()
+	*r = Request{proc: p, comm: c, done: true, status: Status{Source: c.local, Tag: tag}}
+	return r
 }
 
 // Irecv posts a nonblocking receive for a message with the given tag from
 // local rank src (or AnySource) on c. The message is matched at Wait time.
 func (p *Proc) Irecv(c *Comm, src, tag int) *Request {
 	p.CC.Tick()
-	return &Request{proc: p, comm: c, src: src, tag: tag, recv: true}
+	r := p.rt.newRequest()
+	*r = Request{proc: p, comm: c, src: src, tag: tag, recv: true}
+	return r
 }
 
 // Wait blocks until r completes and returns the received data (nil for send

@@ -18,7 +18,7 @@ type Status struct {
 // running.
 func (p *Proc) Send(c *Comm, dest, tag int, data []float64) {
 	p.CC.Tick()
-	buf := make([]float64, len(data))
+	buf := p.rt.buf(len(data))
 	copy(buf, data)
 	g := c.GlobalOf(dest)
 	msg := message{src: c.local, tag: tag, comm: c.id, data: buf}
@@ -129,7 +129,7 @@ func (p *Proc) Bcast(c *Comm, root int, data []float64) []float64 {
 				p.Send(c, l, internalTag, data)
 			}
 		}
-		out := make([]float64, len(data))
+		out := p.rt.buf(len(data))
 		copy(out, data)
 		return out
 	}
@@ -144,7 +144,7 @@ func (p *Proc) Reduce(c *Comm, root int, op ReduceOp, data []float64) []float64 
 		p.Send(c, root, internalTag, data)
 		return nil
 	}
-	acc := make([]float64, len(data))
+	acc := p.rt.buf(len(data))
 	copy(acc, data)
 	for l := 0; l < c.Size(); l++ {
 		if l == root {
@@ -156,13 +156,11 @@ func (p *Proc) Reduce(c *Comm, root int, op ReduceOp, data []float64) []float64 
 	return acc
 }
 
-// Allreduce is Reduce to rank 0 followed by Bcast.
+// Allreduce is Reduce to rank 0 followed by Bcast. Only rank 0 holds a
+// reduction to broadcast; the others pass Bcast nil, which a non-root
+// ignores.
 func (p *Proc) Allreduce(c *Comm, op ReduceOp, data []float64) []float64 {
-	acc := p.Reduce(c, 0, op, data)
-	if c.local != 0 {
-		acc = make([]float64, len(data))
-	}
-	return p.Bcast(c, 0, acc)
+	return p.Bcast(c, 0, p.Reduce(c, 0, op, data))
 }
 
 // Barrier blocks until every rank in c has entered it.
@@ -178,7 +176,7 @@ func (p *Proc) Gather(c *Comm, root int, data []float64) []float64 {
 		p.Send(c, root, internalTag, data)
 		return nil
 	}
-	out := make([]float64, len(data)*c.Size())
+	out := p.rt.buf(len(data) * c.Size())
 	copy(out[root*len(data):], data)
 	for l := 0; l < c.Size(); l++ {
 		if l == root {
@@ -190,13 +188,10 @@ func (p *Proc) Gather(c *Comm, root int, data []float64) []float64 {
 	return out
 }
 
-// Allgather is Gather at rank 0 followed by Bcast.
+// Allgather is Gather at rank 0 followed by Bcast (non-roots pass nil, as
+// in Allreduce).
 func (p *Proc) Allgather(c *Comm, data []float64) []float64 {
-	out := p.Gather(c, 0, data)
-	if c.local != 0 {
-		out = make([]float64, len(data)*c.Size())
-	}
-	return p.Bcast(c, 0, out)
+	return p.Bcast(c, 0, p.Gather(c, 0, data))
 }
 
 // Scatter distributes equal chunks of the root's buffer; every rank returns
@@ -210,7 +205,7 @@ func (p *Proc) Scatter(c *Comm, root int, data []float64, chunk int) []float64 {
 			}
 			p.Send(c, l, internalTag, data[l*chunk:(l+1)*chunk])
 		}
-		out := make([]float64, chunk)
+		out := p.rt.buf(chunk)
 		copy(out, data[root*chunk:(root+1)*chunk])
 		return out
 	}
@@ -227,7 +222,7 @@ func (p *Proc) Alltoall(c *Comm, data []float64, chunk int) []float64 {
 			p.Send(c, l, internalTag, data[l*chunk:(l+1)*chunk])
 		}
 	}
-	out := make([]float64, chunk*c.Size())
+	out := p.rt.buf(chunk * c.Size())
 	copy(out[c.local*chunk:], data[c.local*chunk:(c.local+1)*chunk])
 	for l := 0; l < c.Size(); l++ {
 		if l == c.local {
@@ -255,7 +250,7 @@ func (p *Proc) ReduceScatter(c *Comm, op ReduceOp, data []float64, chunk int) []
 // receives op(data_0, ..., data_i).
 func (p *Proc) Scan(c *Comm, op ReduceOp, data []float64) []float64 {
 	p.CC.Tick()
-	acc := make([]float64, len(data))
+	acc := p.rt.buf(len(data))
 	copy(acc, data)
 	if c.local > 0 {
 		prev, _ := p.Recv(c, c.local-1, internalTag)

@@ -37,7 +37,7 @@ func (p *Proc) Gatherv(c *Comm, root int, data []float64, counts []int) []float6
 		p.Send(c, root, internalTag, data)
 		return nil
 	}
-	out := make([]float64, total)
+	out := p.rt.buf(total)
 	copy(out[offsetOf(counts, root):], data)
 	for l := 0; l < c.Size(); l++ {
 		if l == root {
@@ -72,7 +72,7 @@ func (p *Proc) Scatterv(c *Comm, root int, data []float64, counts []int) []float
 			p.Send(c, l, internalTag, data[off:off+counts[l]])
 		}
 		off := offsetOf(counts, root)
-		out := make([]float64, counts[root])
+		out := p.rt.buf(counts[root])
 		copy(out, data[off:off+counts[root]])
 		return out
 	}
@@ -95,7 +95,7 @@ func (p *Proc) Alltoallv(c *Comm, data []float64, sendCounts, recvCounts []int) 
 		off := offsetOf(sendCounts, l)
 		p.Send(c, l, internalTag, data[off:off+sendCounts[l]])
 	}
-	out := make([]float64, total)
+	out := p.rt.buf(total)
 	selfOff := offsetOf(sendCounts, c.local)
 	copy(out[offsetOf(recvCounts, c.local):], data[selfOff:selfOff+sendCounts[c.local]])
 	for l := 0; l < c.Size(); l++ {

@@ -136,10 +136,17 @@ func makeResult(vals, prev map[expr.Var]int64) Result {
 	return Result{Values: vals, Changed: changed}
 }
 
+// denseVars bounds the variable numbers dependentSet looks up in a table.
+// conc.VarSpace numbers a campaign's variables densely from 0, so real
+// numbers stay far below it; any other (a corrupt log from a piped target,
+// say) goes to a map.
+const denseVars = 1 << 16
+
 // dependentSet returns the indices of predicates transitively sharing
 // variables with preds[seed], in their original order: a union-find joins
 // every predicate with the first one that shares a variable with it, and
-// the partition is the seed's component.
+// the partition is the seed's component. The first predicate using each
+// variable is kept in a table indexed by variable number.
 func dependentSet(preds []expr.Pred, seed int) []int {
 	parent := make([]int, len(preds))
 	for i := range parent {
@@ -152,15 +159,30 @@ func dependentSet(preds []expr.Pred, seed int) []int {
 		}
 		return x
 	}
-	first := make(map[expr.Var]int, len(preds)) // variable → first predicate using it
+	var first []int32           // variable → 1 + first predicate using it; 0 while unused
+	var sparse map[expr.Var]int // the same for variables outside [0, denseVars)
 	var vs []expr.Var
 	for i, p := range preds {
 		vs = appendVars(vs[:0], p.E)
 		for _, v := range vs {
-			if j, ok := first[v]; ok {
-				parent[find(i)] = find(j)
+			if v < 0 || v >= denseVars {
+				if j, ok := sparse[v]; ok {
+					parent[find(i)] = find(j)
+				} else {
+					if sparse == nil {
+						sparse = map[expr.Var]int{}
+					}
+					sparse[v] = i
+				}
+				continue
+			}
+			if int(v) >= len(first) {
+				first = append(first, make([]int32, max(int(v)+1, 2*len(first), 64)-len(first))...)
+			}
+			if j := first[v]; j != 0 {
+				parent[find(i)] = find(int(j - 1))
 			} else {
-				first[v] = i
+				first[v] = int32(i + 1)
 			}
 		}
 	}

@@ -257,25 +257,6 @@ func TestSolveEmpty(t *testing.T) {
 	}
 }
 
-func TestDependentSet(t *testing.T) {
-	preds := []expr.Pred{
-		expr.Compare(v(x0), k(1), expr.GE),                  // group A
-		expr.Compare(v(y0), k(1), expr.GE),                  // group B
-		expr.Compare(expr.Sub(v(x0), v(x1)), k(0), expr.EQ), // group A
-		expr.Compare(v(x1), k(5), expr.EQ),                  // group A (seed)
-	}
-	got := dependentSet(preds, 3)
-	want := []int{0, 2, 3}
-	if len(got) != len(want) {
-		t.Fatalf("dependent set %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("dependent set %v, want %v", got, want)
-		}
-	}
-}
-
 func TestFloorCeilDiv(t *testing.T) {
 	cases := []struct{ a, b, fl, ce int64 }{
 		{7, 2, 3, 4}, {-7, 2, -4, -3}, {7, -2, -4, -3}, {-7, -2, 3, 4},

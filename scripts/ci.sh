@@ -86,12 +86,14 @@ go test -race ./internal/core -run 'TestSnapshotEncoding'
 echo "== go test -race ./internal/fleet =="
 go test -race ./internal/fleet
 
-echo "== go test -race -cpu 1,2 ./internal/mpi =="
+echo "== go test -race -cpu 1,2 ./internal/mpi ./internal/conc =="
 # A launch's ranks run as coroutines on one scheduler goroutine, so what is
 # concurrent is Launch's watchdog against that goroutine: the timeout, the
 # abandoned rank that never yields, and the results they share. Both
-# GOMAXPROCS values also run the wildcard-order determinism test.
-go test -race -cpu 1,2 ./internal/mpi
+# GOMAXPROCS values also run the wildcard-order determinism test. The
+# random streams live in internal/conc: the ranks of a launch replay one,
+# and a stream is safe for cursors on concurrent goroutines.
+go test -race -cpu 1,2 ./internal/mpi ./internal/conc
 
 echo "== cross-process conformance (piped == in-process) =="
 go test ./internal/proto -run 'TestCrossProcessConformance|TestScheduleConformance|TestSchedMixedConformance|TestSchedShardedServiceConformance|TestSnapshotConformance' -count=1
@@ -262,11 +264,13 @@ echo "== engine throughput trajectory (BENCH_engine.json) =="
 # and the live-solve layer benchmark replaying that campaign's solver calls.
 # The pipe-launch layer benchmark times one launch (~0.1 ms), so it runs 2000;
 # the MPI runtime layer benchmark times one round trip, collective or launch
-# (1-30 us), so it runs 20000.
+# (1-30 us), so it runs 20000; the trace-recording layer benchmark records
+# 2048 branch events per op (20-200 us), so it runs 2000.
 {
   go test -run '^$' -bench 'BenchmarkEngine|BenchmarkSolveIncremental' -benchtime 5x .
   go test -run '^$' -bench 'BenchmarkPipeLaunch' -benchtime 2000x .
   go test -run '^$' -bench 'BenchmarkMPI' -benchtime 20000x .
+  go test -run '^$' -bench 'BenchmarkTraceRecord' -benchtime 2000x .
 } | "$BIN_DIR/compi-bench" -out BENCH_engine.json
 echo "wrote BENCH_engine.json"
 
