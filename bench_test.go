@@ -512,21 +512,25 @@ func BenchmarkStoreQuery(b *testing.B) {
 	}
 }
 
-// BenchmarkCheckpoint measures one store checkpoint of a campaign at a
-// 200-iteration HPL history, fsync included. "engine" takes the engine's
-// Snapshot and saves it, as a store-backed sched batch does after every
-// iteration; the engine has already encoded the history entries. "loaded"
-// saves the same snapshot read back from disk, as the fleet coordinator
-// saves the snapshots its workers send: it carries no encoded history, so
-// every save encodes it fresh. Both report the snapshot file's size.
+// BenchmarkCheckpoint measures the store's writes of a campaign at a
+// 200-iteration HPL history. "engine" and "loaded" fold a whole snapshot,
+// fsync included, as a store-backed batch does once per campaign when it
+// finishes: the engine's own Snapshot, and the same snapshot read back from
+// disk, as the fleet coordinator folds the final snapshots its workers
+// send. Both report the snapshot file's size. "journal" appends the record
+// a store-backed batch appends after every iteration, the one that takes
+// the campaign's journal from iteration 199 to 200, and reports its bytes.
+// A journal syncs at most once a second, so the append runs unsynced.
 func BenchmarkCheckpoint(b *testing.B) {
 	prog, ok := target.Lookup("hpl")
 	if !ok {
 		b.Fatal("hpl not registered")
 	}
+	var prev, last *core.Snapshot
 	eng := core.NewEngine(core.Config{
 		Program: prog, Iterations: 200, Reduction: true, Framework: true,
 		Seed: 7, RunTimeout: 30 * time.Second,
+		Checkpoint: func(s *core.Snapshot) { prev, last = last, s },
 	})
 	eng.Run()
 	st, err := store.Open(b.TempDir())
@@ -562,6 +566,36 @@ func BenchmarkCheckpoint(b *testing.B) {
 			b.ReportMetric(float64(fi.Size()), "file-bytes")
 		})
 	}
+	journals := 0 // each op appends to a journal of its own
+	b.Run("journal", func(b *testing.B) {
+		b.ReportAllocs()
+		var record int64
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			journals++
+			name := fmt.Sprintf("journal-%d", journals)
+			if err := st.AppendCampaign(name, prev); err != nil {
+				b.Fatal(err)
+			}
+			log := filepath.Join(st.Dir(), "campaigns", name+".log")
+			before, err := os.Stat(log)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.StartTimer()
+			if err := st.AppendCampaign(name, last); err != nil {
+				b.Fatal(err)
+			}
+			b.StopTimer()
+			after, err := os.Stat(log)
+			if err != nil {
+				b.Fatal(err)
+			}
+			record = after.Size() - before.Size()
+			b.StartTimer()
+		}
+		b.ReportMetric(float64(record), "record-bytes")
+	})
 }
 
 // BenchmarkSchedSpeedup measures the scheduler's parallel speedup on four

@@ -10,8 +10,9 @@ import (
 )
 
 // storeMode maintains a campaign store directory: the default action prints
-// an inventory; `compi store compact` drops superseded campaign snapshots,
-// and `compi store reindex` rebuilds the campaign index from the snapshots.
+// an inventory; `compi store compact` drops superseded campaign snapshots and
+// folds interrupted campaigns' journals, and `compi store reindex` rebuilds
+// the campaign index from the snapshots.
 // Cross-campaign queries live in `compi report`.
 type storeMode struct {
 	fs *flag.FlagSet
@@ -80,6 +81,9 @@ func (m *storeMode) Run(args []string) int {
 		Iters   int    `json:"iters"`
 		Covered int    `json:"covered"`
 		Errors  int    `json:"errors"`
+		// Unfolded is how many of Iters only the campaign's journal holds:
+		// an interrupted campaign's checkpoints since its last fold.
+		Unfolded int `json:"unfolded,omitempty"`
 	}
 	type batchInfo struct {
 		ID     string         `json:"id"`
@@ -102,6 +106,9 @@ func (m *storeMode) Run(args []string) int {
 			ci.Iters = snap.Iters
 			ci.Covered = len(snap.Covered)
 			ci.Errors = len(snap.Errors)
+			// The campaign just loaded; a second read of its files that
+			// fails leaves the count at 0, as a failed load leaves the rest.
+			ci.Unfolded, _ = st.Unfolded(n)
 		}
 		inv.Campaigns = append(inv.Campaigns, ci)
 	}
@@ -127,8 +134,12 @@ func (m *storeMode) Run(args []string) int {
 	fmt.Printf("store %s (schema v%d)\n", inv.Dir, inv.Version)
 	fmt.Printf("campaigns %d\n", len(inv.Campaigns))
 	for _, c := range inv.Campaigns {
-		fmt.Printf("  %-40s %-10s iters=%-5d covered=%-5d errors=%d\n",
+		fmt.Printf("  %-40s %-10s iters=%-5d covered=%-5d errors=%d",
 			c.Name, c.Program, c.Iters, c.Covered, c.Errors)
+		if c.Unfolded > 0 {
+			fmt.Printf(" journaled=%d (unfolded)", c.Unfolded)
+		}
+		fmt.Println()
 	}
 	fmt.Printf("batches %d\n", len(inv.Batches))
 	for _, b := range inv.Batches {
@@ -150,9 +161,10 @@ func (m *storeMode) Run(args []string) int {
 
 // runCompact implements `compi store compact`: drop campaign snapshots
 // superseded by further-progressed runs of the same setup, redirecting batch
-// manifests to the surviving files. Resume behaviour is unchanged — the
-// campaign index and every interrupted campaign's own file, which the resume
-// path reads, are kept.
+// manifests to the surviving files, and fold every kept campaign's journal
+// into its snapshot. Resume behaviour is unchanged — the campaign index and
+// every interrupted campaign's own file, which the resume path reads, are
+// kept.
 func (m *storeMode) runCompact(args []string) int {
 	fs := newFlagSet("store compact")
 	dir := fs.String("dir", "", "campaign store directory (required)")
@@ -169,8 +181,8 @@ func (m *storeMode) runCompact(args []string) int {
 	if err != nil {
 		return fatalf("compi store compact: %v", err)
 	}
-	fmt.Printf("compacted %s: removed %d superseded snapshots, kept %d, redirected %d batch entries\n",
-		st.Dir(), len(stats.Removed), stats.Kept, stats.Rewritten)
+	fmt.Printf("compacted %s: removed %d superseded snapshots, kept %d, redirected %d batch entries, folded %d journals\n",
+		st.Dir(), len(stats.Removed), stats.Kept, stats.Rewritten, stats.Folded)
 	for _, name := range stats.Removed {
 		fmt.Printf("  removed %s\n", name)
 	}

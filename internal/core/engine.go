@@ -297,10 +297,6 @@ type Engine struct {
 	unsatCalls  int
 	refutations int
 
-	// hist is the JSON of errors and stats up to the last Snapshot, which
-	// attaches it to the snapshot it takes (see history).
-	hist history
-
 	// predScratch is the reusable buffer constraintSet assembles proposals
 	// in: the engine hands each proposal's predicate slice to the solver
 	// service and never looks at it again, so one buffer serves the whole

@@ -90,40 +90,10 @@ type Snapshot struct {
 	// The campaign history: every error record and (v2) the full
 	// per-iteration history, so a resumed campaign's Result reports the whole
 	// campaign and reattached reports keep their measurements. They grow
-	// with the campaign, so they are the last two fields: MarshalJSON
-	// appends them after everything else, from hist when it is current.
+	// with the campaign, so they are the last two fields, and a journal
+	// record carries only their new entries (see EncodeDelta).
 	Errors []ErrorRecord   `json:"errors,omitempty"`
 	Stats  []IterationStat `json:"stats,omitempty"`
-
-	// hist is the encoded history of the engine that took the snapshot.
-	hist history
-}
-
-// history is the compact JSON of a campaign's first nErrors error records
-// and nStats iteration stats, each list's entries comma-separated without
-// brackets. An engine extends its own as the campaign runs, so each entry is
-// encoded once, and attaches it to every snapshot it takes. The engine only
-// appends, so a snapshot's copy stays valid while the engine runs on.
-type history struct {
-	errors, stats   []byte
-	nErrors, nStats int
-}
-
-// extend appends the JSON of entries[n:] to buf and returns the new buffer
-// and count. It stops at an entry that does not encode: the count then lags
-// the snapshot's list, and MarshalJSON encodes fresh and reports the error.
-func extend[T any](buf []byte, n int, entries []T) ([]byte, int) {
-	for ; n < len(entries); n++ {
-		b, err := json.Marshal(entries[n])
-		if err != nil {
-			break
-		}
-		if n > 0 {
-			buf = append(buf, ',')
-		}
-		buf = append(buf, b...)
-	}
-	return buf, n
 }
 
 // StrategyState is an opaque strategy position tagged with the strategy
@@ -155,9 +125,6 @@ func (e *Engine) Snapshot() *Snapshot {
 		Errors:      append([]ErrorRecord(nil), e.errors...),
 		Stats:       append([]IterationStat(nil), e.stats...),
 	}
-	e.hist.errors, e.hist.nErrors = extend(e.hist.errors, e.hist.nErrors, e.errors)
-	e.hist.stats, e.hist.nStats = extend(e.hist.stats, e.hist.nStats, e.stats)
-	s.hist = e.hist
 	for name, ci := range e.caps {
 		if ci.hasCap {
 			s.Caps[name] = ci.cap
@@ -288,7 +255,6 @@ func (e *Engine) Restore(s *Snapshot) error {
 	e.iters = s.Iters
 	e.startIter = s.Iters
 	e.stats = append([]IterationStat(nil), s.Stats...)
-	e.hist = history{}
 	e.restarts = s.Restarts
 	e.restartAt = append([]int(nil), s.RestartAt...)
 	e.solverCalls = s.SolverCalls
@@ -342,49 +308,62 @@ func (s *Snapshot) Result() Result {
 	}
 }
 
-// snapshotFields is Snapshot without its methods, for the reflective
-// encoding MarshalJSON builds on.
-type snapshotFields Snapshot
-
-// MarshalJSON encodes the snapshot as compact JSON, keys in struct order.
-// When the snapshot carries its engine's encoded history and the entry
-// counts match Errors and Stats, it encodes the other fields and splices the
-// cached entries after them, so a checkpoint costs the entries added since
-// the previous one. Otherwise it encodes everything fresh; the bytes are the
-// same either way.
-func (s *Snapshot) MarshalJSON() ([]byte, error) {
-	h := s.hist
-	if h.nErrors != len(s.Errors) || h.nStats != len(s.Stats) {
-		return json.Marshal((*snapshotFields)(s))
-	}
-	rest := *s
-	rest.Errors, rest.Stats = nil, nil
-	b, err := json.Marshal((*snapshotFields)(&rest))
-	if err != nil {
-		return nil, err
-	}
-	// The closing brace goes; "version" is never omitted, so the object is
-	// not empty and each list follows a comma. The capacity leaves room for
-	// Save's newline.
-	out := make([]byte, 0, len(b)+len(h.errors)+len(h.stats)+len(`,"errors":[],"stats":[]}`)+1)
-	out = append(out, b[:len(b)-1]...)
-	if len(s.Errors) > 0 {
-		out = append(append(append(out, `,"errors":[`...), h.errors...), ']')
-	}
-	if len(s.Stats) > 0 {
-		out = append(append(append(out, `,"stats":[`...), h.stats...), ']')
-	}
-	return append(out, '}'), nil
+// Save writes the snapshot as one line of compact JSON, keys in struct
+// order.
+func (s *Snapshot) Save(w io.Writer) error {
+	return json.NewEncoder(w).Encode(s)
 }
 
-// Save writes the snapshot as one line of JSON: MarshalJSON and a newline.
-func (s *Snapshot) Save(w io.Writer) error {
-	b, err := s.MarshalJSON()
-	if err != nil {
+// journalRecord is the JSON shape of one campaign journal record: a
+// snapshot whose Errors and Stats hold only the entries past BaseErrors and
+// BaseStats, the counts the journal already holds.
+type journalRecord struct {
+	BaseErrors int `json:"baseErrors"`
+	BaseStats  int `json:"baseStats"`
+	Snapshot
+}
+
+// EncodeDelta encodes the journal record that takes a campaign holding the
+// first baseErrors error records and baseStats iteration stats of s to s:
+// every field but the history, and only the history entries past those
+// counts. So a checkpoint's record costs the entries added since the
+// previous one, however long the campaign has run.
+func (s *Snapshot) EncodeDelta(baseErrors, baseStats int) ([]byte, error) {
+	if baseErrors < 0 || baseErrors > len(s.Errors) || baseStats < 0 || baseStats > len(s.Stats) {
+		return nil, fmt.Errorf("core: journal base of %d errors, %d stats is outside a snapshot holding %d, %d",
+			baseErrors, baseStats, len(s.Errors), len(s.Stats))
+	}
+	r := journalRecord{BaseErrors: baseErrors, BaseStats: baseStats, Snapshot: *s}
+	r.Errors, r.Stats = s.Errors[baseErrors:], s.Stats[baseStats:]
+	return json.Marshal(&r)
+}
+
+// ApplyDelta applies a journal record EncodeDelta wrote to s. A record that
+// is no further than s (its Iters at most s.Iters) was folded into s already
+// and changes nothing. Otherwise the record must continue s: its base counts
+// at most s's history lengths and its entries reaching at least to them.
+// Then every field but the history becomes the record's, and the history
+// gains the record's entries past what s holds. A record that does not
+// decode or does not continue s is an error, and s is left unchanged.
+func (s *Snapshot) ApplyDelta(rec []byte) error {
+	var r journalRecord
+	if err := json.Unmarshal(rec, &r); err != nil {
 		return err
 	}
-	_, err = w.Write(append(b, '\n'))
-	return err
+	if r.Iters <= s.Iters {
+		return nil
+	}
+	ne, ns := len(s.Errors), len(s.Stats)
+	if r.BaseErrors < 0 || r.BaseErrors > ne || r.BaseErrors+len(r.Errors) < ne ||
+		r.BaseStats < 0 || r.BaseStats > ns || r.BaseStats+len(r.Stats) < ns {
+		return fmt.Errorf("core: journal record at iteration %d (history %d+%d errors, %d+%d stats) does not continue a snapshot at iteration %d (%d errors, %d stats)",
+			r.Iters, r.BaseErrors, len(r.Errors), r.BaseStats, len(r.Stats), s.Iters, ne, ns)
+	}
+	errs := append(s.Errors, r.Errors[ne-r.BaseErrors:]...)
+	stats := append(s.Stats, r.Stats[ns-r.BaseStats:]...)
+	*s = r.Snapshot
+	s.Errors, s.Stats = errs, stats
+	return nil
 }
 
 // LoadSnapshot reads a snapshot written by Save. A snapshot written while

@@ -147,11 +147,11 @@ func TestRestoreAfterRunRejected(t *testing.T) {
 	}
 }
 
-// encodingCampaigns are the campaigns the snapshot encoding is pinned on,
+// encodingCampaigns are the campaigns the journal encoding is pinned on,
 // each an engine constructor taking the checkpoint hook: hpl, a
 // schedule-space mworder campaign, whose deadlock records carry match
 // orders, and a skeleton campaign restored from a mid-run snapshot, whose
-// first checkpoint encodes the whole restored history at once.
+// first record carries the whole restored history at once.
 func encodingCampaigns(t *testing.T) map[string]func(ckpt func(*Snapshot)) *Engine {
 	t.Helper()
 	hpl := Config{
@@ -193,39 +193,65 @@ func encodingCampaigns(t *testing.T) map[string]func(ckpt func(*Snapshot)) *Engi
 	}
 }
 
-// freshJSON is what Save writes for s when s carries no encoded history.
-func freshJSON(t *testing.T, s *Snapshot) []byte {
+// saved is what Save writes for s.
+func saved(t *testing.T, s *Snapshot) []byte {
 	t.Helper()
-	stripped := *s
-	stripped.hist = history{}
-	b, err := json.Marshal(&stripped)
+	var buf bytes.Buffer
+	if err := s.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// extendJournal encodes the record that takes journaled to s, checks that
+// it carries only the history entries journaled lacks, and applies it.
+func extendJournal(t *testing.T, journaled, s *Snapshot) {
+	t.Helper()
+	ne, ns := len(journaled.Errors), len(journaled.Stats)
+	rec, err := s.EncodeDelta(ne, ns)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return append(b, '\n')
+	var r journalRecord
+	if err := json.Unmarshal(rec, &r); err != nil {
+		t.Fatal(err)
+	}
+	if len(r.Errors) != len(s.Errors)-ne || len(r.Stats) != len(s.Stats)-ns {
+		t.Fatalf("record at iteration %d carries %d errors, %d stats; want the %d, %d added",
+			s.Iters, len(r.Errors), len(r.Stats), len(s.Errors)-ne, len(s.Stats)-ns)
+	}
+	if err := journaled.ApplyDelta(rec); err != nil {
+		t.Fatal(err)
+	}
 }
 
-// TestSnapshotEncodingMatchesFresh pins the incremental encoding: at every
-// checkpoint, Save (which splices the engine's encoded history) writes the
-// bytes of a fresh encoding of the same snapshot.
+// TestSnapshotEncodingMatchesFresh pins the journal encoding: at every
+// checkpoint, a snapshot built by applying each checkpoint's record in turn
+// to an empty one saves to the bytes of the checkpoint's own snapshot, and
+// applying a record again changes nothing.
 func TestSnapshotEncodingMatchesFresh(t *testing.T) {
 	for name, newEngine := range encodingCampaigns(t) {
 		t.Run(name, func(t *testing.T) {
+			journaled := &Snapshot{}
 			var last *Snapshot
 			checkpoints := 0
 			newEngine(func(s *Snapshot) {
 				checkpoints++
 				last = s
-				if s.hist.nErrors != len(s.Errors) || s.hist.nStats != len(s.Stats) {
-					t.Fatalf("checkpoint at iteration %d: history cache holds %d/%d entries for %d/%d",
-						s.Iters, s.hist.nErrors, s.hist.nStats, len(s.Errors), len(s.Stats))
+				extendJournal(t, journaled, s)
+				want := saved(t, s)
+				if got := saved(t, journaled); !bytes.Equal(got, want) {
+					t.Fatalf("checkpoint at iteration %d:\n got  %s\n want %s", s.Iters, got, want)
 				}
-				var got bytes.Buffer
-				if err := s.Save(&got); err != nil {
+				rec, err := s.EncodeDelta(0, 0)
+				if err != nil {
 					t.Fatal(err)
 				}
-				if want := freshJSON(t, s); !bytes.Equal(got.Bytes(), want) {
-					t.Fatalf("checkpoint at iteration %d:\n got  %s\n want %s", s.Iters, got.Bytes(), want)
+				if err := journaled.ApplyDelta(rec); err != nil {
+					t.Fatal(err)
+				}
+				if got := saved(t, journaled); !bytes.Equal(got, want) {
+					t.Fatalf("checkpoint at iteration %d changed by a record it holds:\n got  %s\n want %s", s.Iters, got, want)
 				}
 			}).Run()
 			if checkpoints == 0 || len(last.Errors) == 0 {
@@ -235,47 +261,73 @@ func TestSnapshotEncodingMatchesFresh(t *testing.T) {
 	}
 }
 
-// TestSnapshotEncodingStaleHistory pins the fallback: a snapshot whose
-// Errors or Stats no longer has its cache's entry count is encoded fresh,
-// never spliced from the stale cache.
+// TestSnapshotEncodingStaleHistory pins what a record applies to. It takes
+// a mid-run checkpoint m to the final snapshot. Applied to m with a history
+// entry dropped, which the record's base counts assume, it is rejected and
+// changes nothing. Applied to m with the record's own next entry already
+// added, it appends only the entries past it and yields the final snapshot.
 func TestSnapshotEncodingStaleHistory(t *testing.T) {
+	var ckpts []*Snapshot
 	e := NewEngine(Config{
 		Program: skeletonProg(t), Iterations: 60, Reduction: true,
 		Framework: true, Seed: 1, RunTimeout: 5 * time.Second,
+		Checkpoint: func(s *Snapshot) { ckpts = append(ckpts, s) },
 	})
 	e.Run()
-	edits := map[string]func(*Snapshot){
-		"stats dropped":  func(s *Snapshot) { s.Stats = s.Stats[:len(s.Stats)-1] },
-		"stats added":    func(s *Snapshot) { s.Stats = append(s.Stats, IterationStat{Iter: len(s.Stats)}) },
-		"errors dropped": func(s *Snapshot) { s.Errors = nil },
-		"errors added":   func(s *Snapshot) { s.Errors = append(s.Errors, ErrorRecord{Msg: "added"}) },
+	final := e.Snapshot()
+	var mid *Snapshot
+	for _, s := range ckpts {
+		if len(s.Errors) > 0 && len(s.Errors) < len(final.Errors) {
+			mid = s
+			break
+		}
 	}
-	for name, edit := range edits {
+	if mid == nil {
+		t.Fatalf("no checkpoint between the first error record and the last of %d", len(final.Errors))
+	}
+	rec, err := final.EncodeDelta(len(mid.Errors), len(mid.Stats))
+	if err != nil {
+		t.Fatal(err)
+	}
+	clone := func() *Snapshot {
+		c := *mid
+		c.Errors = append([]ErrorRecord(nil), mid.Errors...)
+		c.Stats = append([]IterationStat(nil), mid.Stats...)
+		return &c
+	}
+	edits := map[string]struct {
+		edit  func(*Snapshot)
+		apply bool
+	}{
+		"stats dropped":  {func(s *Snapshot) { s.Stats = s.Stats[:len(s.Stats)-1] }, false},
+		"errors dropped": {func(s *Snapshot) { s.Errors = s.Errors[:len(s.Errors)-1] }, false},
+		"stats added":    {func(s *Snapshot) { s.Stats = append(s.Stats, final.Stats[len(s.Stats)]) }, true},
+		"errors added":   {func(s *Snapshot) { s.Errors = append(s.Errors, final.Errors[len(s.Errors)]) }, true},
+	}
+	for name, tc := range edits {
 		t.Run(name, func(t *testing.T) {
-			s := e.Snapshot()
-			if len(s.Errors) == 0 {
-				t.Fatal("campaign recorded no error")
-			}
-			edit(s)
-			got, err := s.MarshalJSON()
-			if err != nil {
+			s := clone()
+			tc.edit(s)
+			before := saved(t, s)
+			err := s.ApplyDelta(rec)
+			switch {
+			case !tc.apply && err == nil:
+				t.Fatal("a record that does not continue the snapshot applied")
+			case !tc.apply && !bytes.Equal(saved(t, s), before):
+				t.Fatal("a rejected record changed the snapshot")
+			case tc.apply && err != nil:
 				t.Fatal(err)
-			}
-			want, err := json.Marshal((*snapshotFields)(s))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(got, want) {
-				t.Fatalf("stale history spliced:\n got  %s\n want %s", got, want)
+			case tc.apply && !bytes.Equal(saved(t, s), saved(t, final)):
+				t.Fatal("the record applied over entries it carries did not yield its snapshot")
 			}
 		})
 	}
 }
 
-// TestSnapshotEncodingConcurrent encodes every checkpointed snapshot on
-// another goroutine while the engine runs on and extends its encoded
-// history. Under -race it pins that the engine never writes the encoded
-// history a snapshot it handed out still reads.
+// TestSnapshotEncodingConcurrent encodes and applies each checkpoint's
+// record on another goroutine while the engine runs on. The replayed
+// snapshots must equal the checkpoints' own, saved after the run: an
+// engine that runs on never changes a snapshot it handed out.
 func TestSnapshotEncodingConcurrent(t *testing.T) {
 	for name, newEngine := range encodingCampaigns(t) {
 		t.Run(name, func(t *testing.T) {
@@ -283,9 +335,17 @@ func TestSnapshotEncodingConcurrent(t *testing.T) {
 			encoded := make(chan [][]byte)
 			go func() {
 				var out [][]byte
+				journaled := &Snapshot{}
 				for s := range snaps {
+					rec, err := s.EncodeDelta(len(journaled.Errors), len(journaled.Stats))
+					if err == nil {
+						err = journaled.ApplyDelta(rec)
+					}
+					if err != nil {
+						t.Error(err)
+					}
 					var buf bytes.Buffer
-					if err := s.Save(&buf); err != nil {
+					if err := journaled.Save(&buf); err != nil {
 						t.Error(err)
 					}
 					out = append(out, buf.Bytes())
@@ -303,8 +363,8 @@ func TestSnapshotEncodingConcurrent(t *testing.T) {
 				t.Fatalf("encoded %d of %d checkpoints", len(got), len(taken))
 			}
 			for i, s := range taken {
-				if want := freshJSON(t, s); !bytes.Equal(got[i], want) {
-					t.Fatalf("checkpoint at iteration %d encoded concurrently:\n got  %s\n want %s", s.Iters, got[i], want)
+				if want := saved(t, s); !bytes.Equal(got[i], want) {
+					t.Fatalf("checkpoint at iteration %d replayed concurrently:\n got  %s\n want %s", s.Iters, got[i], want)
 				}
 			}
 		})

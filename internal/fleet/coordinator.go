@@ -60,17 +60,25 @@ type Options struct {
 	Logf func(format string, args ...any)
 }
 
-// Shard lease states, as shown by the status endpoint.
+// Shard lease states, as shown by the status endpoint. A completing shard's
+// final snapshot is being written to the store outside the coordinator's
+// lock: its lease no longer takes frames, the reaper leaves it alone, and it
+// counts as resolved only once the write has returned.
 const (
-	shardPending = "pending"
-	shardLeased  = "leased"
-	shardDone    = "done"
-	shardFailed  = "failed"
+	shardPending    = "pending"
+	shardLeased     = "leased"
+	shardCompleting = "completing"
+	shardDone       = "done"
+	shardFailed     = "failed"
 )
 
 // shardState is the lease state of one spec's campaign; the campaign itself
-// and its store writes live in the sched.Batch.
+// and its store writes live in the sched.Batch. The coordinator reads the
+// campaign's label and target, which never change, from here, so nothing
+// under its lock reads a campaign that a store write outside it updates.
 type shardState struct {
+	label      string
+	target     string
 	state      string
 	gen        int    // lease generation; bumped on every grant
 	leaseID    string // current lease, "" unless leased
@@ -81,6 +89,8 @@ type shardState struct {
 	errCount   int            // error records in the latest snapshot (status only)
 	reclaims   int            // times this shard's lease was reclaimed
 	resume     *core.Snapshot // last progress snapshot: the reclaim-resume point
+	reused     bool           // resolved from the store without a lease
+	err        error          // why the shard failed
 }
 
 // Coordinator owns one fleet batch: a sched.Batch over the specs, their
@@ -141,7 +151,8 @@ func NewCoordinator(specs []sched.Spec, opt Options) *Coordinator {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for i, sp := range specs {
-		c.shards[i].state = shardPending
+		camp := c.batch.Campaign(i)
+		c.shards[i] = shardState{label: camp.Label, target: camp.Target, state: shardPending}
 		w, err := sp.Portable()
 		if err != nil {
 			c.failShardLocked(i, fmt.Errorf("fleet: %w", err))
@@ -163,13 +174,14 @@ func (c *Coordinator) logf(format string, args ...any) {
 }
 
 // label is shard i's campaign label.
-func (c *Coordinator) label(i int) string { return c.batch.Campaign(i).Label }
+func (c *Coordinator) label(i int) string { return c.shards[i].label }
 
 // failShardLocked resolves shard i with a deterministic error.
 func (c *Coordinator) failShardLocked(i int, err error) {
 	sh := &c.shards[i]
 	sh.state = shardFailed
 	sh.leaseID = ""
+	sh.err = err
 	c.batch.Fail(i, err)
 	c.logf("fleet: shard %d (%s) failed: %v", i, c.label(i), err)
 	c.resolved++
@@ -185,7 +197,7 @@ func (c *Coordinator) resolveShardLocked(i int, snap *core.Snapshot) {
 	sh.resume = nil
 	sh.iters = snap.Iters
 	sh.errCount = len(snap.Errors)
-	c.mergeSnapshotCovLocked(c.batch.Campaign(i).Target, snap)
+	c.mergeSnapshotCovLocked(sh.target, snap)
 	c.resolved++
 	c.checkDoneLocked()
 }
@@ -369,6 +381,7 @@ func (c *Coordinator) grant(s *session) Frame {
 		snap, reused := c.batch.Start(i)
 		if reused {
 			c.logf("fleet: shard %d (%s) reused from store (%d iterations)", i, c.label(i), snap.Iters)
+			sh.reused = true
 			c.resolveShardLocked(i, snap)
 			continue
 		}
@@ -393,7 +406,7 @@ func (c *Coordinator) grant(s *session) Frame {
 			lease.Snapshot = sh.resume
 			// The live status tracker sees resumed coverage up front,
 			// before the new holder's first progress snapshot.
-			c.mergeSnapshotCovLocked(c.batch.Campaign(i).Target, sh.resume)
+			c.mergeSnapshotCovLocked(sh.target, sh.resume)
 		}
 		c.logf("fleet: leased shard %d (%s) to worker %d (%s) as %s",
 			i, c.label(i), s.id, s.name, sh.leaseID)
@@ -427,19 +440,21 @@ func (c *Coordinator) renew(leaseID string) {
 	}
 }
 
-// applyProgress checkpoints a shard: the snapshot becomes the store
-// checkpoint and the reclaim-resume point, and it sets the shard's status
-// line and unions its coverage into the live status tracker. Stale leases
-// are discarded; and because a snapshot carries the whole campaign so far,
-// a re-leased shard's replayed iterations do not count their errors twice.
+// applyProgress checkpoints a shard: the snapshot becomes the reclaim-resume
+// point, sets the shard's status line and unions its coverage into the live
+// status tracker, and then, outside the lock, extends the store checkpoint.
+// Stale leases are discarded; and because a snapshot carries the whole
+// campaign so far, a re-leased shard's replayed iterations do not count
+// their errors twice. A snapshot that reaches the store after a later one
+// of its shard (its lease reclaimed meanwhile) appends nothing.
 func (c *Coordinator) applyProgress(p *Progress) {
 	if p.Snapshot == nil {
 		return
 	}
 	c.mu.Lock()
-	defer c.mu.Unlock()
 	i := c.findLocked(p.Lease)
 	if i < 0 {
+		c.mu.Unlock()
 		return
 	}
 	sh := &c.shards[i]
@@ -447,25 +462,38 @@ func (c *Coordinator) applyProgress(p *Progress) {
 	sh.iters = p.Iters
 	sh.errCount = len(p.Snapshot.Errors)
 	sh.resume = p.Snapshot
-	c.mergeSnapshotCovLocked(c.batch.Campaign(i).Target, p.Snapshot)
+	c.mergeSnapshotCovLocked(sh.target, p.Snapshot)
+	c.mu.Unlock()
 	c.batch.Checkpoint(i, p.Snapshot)
 }
 
+// applyComplete resolves a shard with its final snapshot. The shard turns
+// completing under the lock, so no frame, reclaim or grant touches it while
+// sched.Batch.Finish writes the store outside the lock; it resolves, which
+// may let Wait return, only after that write has returned.
 func (c *Coordinator) applyComplete(cp *Complete) {
 	if cp.Snapshot == nil {
 		return
 	}
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	if i := c.findLocked(cp.Lease); i >= 0 {
-		c.batch.Finish(i, cp.Snapshot.Result(), cp.Snapshot)
-		c.logf("fleet: shard %d (%s) complete at %d iterations", i, c.label(i), cp.Snapshot.Iters)
-		c.resolveShardLocked(i, cp.Snapshot)
-		// Fold after resolving the shard: stale leases (reclaimed shards
-		// whose first holder reports late) are discarded above, so a
-		// re-leased shard's bins land exactly once.
-		c.prof.AddReport(cp.Profile)
+	i := c.findLocked(cp.Lease)
+	if i >= 0 {
+		c.shards[i].state = shardCompleting
+		c.shards[i].leaseID = ""
 	}
+	c.mu.Unlock()
+	if i < 0 {
+		return
+	}
+	c.batch.Finish(i, cp.Snapshot.Result(), cp.Snapshot)
+	c.logf("fleet: shard %d (%s) complete at %d iterations", i, c.label(i), cp.Snapshot.Iters)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.resolveShardLocked(i, cp.Snapshot)
+	// Fold after resolving the shard: stale leases (reclaimed shards whose
+	// first holder reports late) are discarded above, so a re-leased
+	// shard's bins land exactly once.
+	c.prof.AddReport(cp.Profile)
 }
 
 func (c *Coordinator) applyError(e *ErrorReport) {
@@ -540,16 +568,16 @@ func (c *Coordinator) StatusText() string {
 	}
 	app("\nshards:\n")
 	for i := range c.shards {
-		sh, camp := &c.shards[i], c.batch.Campaign(i)
-		line := fmt.Sprintf("  %-3d %-28s %-8s iters=%-5d errors=%-3d", i, camp.Label, sh.state, sh.iters, sh.errCount)
+		sh := &c.shards[i]
+		line := fmt.Sprintf("  %-3d %-28s %-8s iters=%-5d errors=%-3d", i, sh.label, sh.state, sh.iters, sh.errCount)
 		switch {
 		case sh.state == shardLeased:
 			line += fmt.Sprintf(" lease=%s worker=%d(%s) deadline=%s",
 				sh.leaseID, sh.worker, sh.workerName, time.Until(sh.deadline).Round(time.Millisecond))
-		case sh.state == shardDone && camp.Reused:
+		case sh.state == shardDone && sh.reused:
 			line += " (store)"
 		case sh.state == shardFailed:
-			line += fmt.Sprintf(" err=%v", camp.Err)
+			line += fmt.Sprintf(" err=%v", sh.err)
 		}
 		if sh.reclaims > 0 {
 			line += fmt.Sprintf(" reclaims=%d", sh.reclaims)

@@ -354,6 +354,48 @@ func TestFleetStoreResumeAndReuse(t *testing.T) {
 	}
 }
 
+// TestFleetWaitFollowsStoreWrites: Wait returns only once every shard's
+// completion is in the store, its final snapshot folded and its index entry
+// and manifest entry written. The workers are still connected when Wait
+// returns, so the store is read while the coordinator could still be
+// writing it.
+func TestFleetWaitFollowsStoreWrites(t *testing.T) {
+	if testing.Short() {
+		t.Skip("campaign test")
+	}
+	const iters = 10
+	st, err := store.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	specs := fleetSpecs(iters)
+	c, addr := startFleet(t, specs, fleet.Options{Store: st})
+	worked := make(chan struct{})
+	go func() {
+		defer close(worked)
+		workInProcess(t, addr, 2)
+	}()
+	rep := c.Wait()
+	entries, err := st.Index()
+	man, merr := st.LoadBatch(rep.BatchID)
+	<-worked
+	if err != nil || merr != nil || man == nil {
+		t.Fatalf("index %v, manifest %v %v", err, man, merr)
+	}
+	if len(entries) != len(specs) {
+		t.Fatalf("Wait returned with %d of %d campaigns indexed", len(entries), len(specs))
+	}
+	for _, e := range man.Entries {
+		if e.Status != store.StatusDone || e.Iters != iters {
+			t.Fatalf("Wait returned with manifest entry %+v not done at %d", e, iters)
+		}
+		if unfolded, err := st.Unfolded(e.Campaign); err != nil || unfolded != 0 {
+			t.Fatalf("Wait returned with %s unfolded (%d iterations, %v)", e.Campaign, unfolded, err)
+		}
+	}
+}
+
 // TestFleetStoreWriteFailure: a directory where index.json belongs fails
 // every campaign index write. The fleet reports the failures in the report's
 // StoreErr and still returns the results a storeless sched.Run computes.

@@ -21,29 +21,33 @@ import (
 //
 //  1. Start loads the further of two stored snapshots of the spec's
 //     canonical setup: the one the store's campaign index names, and the
-//     campaign's own file, where its checkpoints land. One that already
+//     campaign's own, whose journal its checkpoints extend. One that already
 //     covers the requested iterations is *reused*: the Result is rebuilt from
 //     the snapshot and no engine runs. A shorter one is returned as the
 //     *resume* snapshot; by the snapshot determinism contract, restoring it
 //     and running the remaining iterations equals running the whole campaign
 //     at once.
-//  2. Checkpoint saves the running campaign's snapshot to its own file, so a
-//     killed batch loses at most the iterations since the last checkpoint.
-//  3. Finish saves the final snapshot and, only once that write succeeded,
-//     records the campaign in the campaign index. Fail records a spec error;
-//     Requeue returns a reclaimed lease's campaign to pending.
+//  2. Checkpoint appends the running campaign's progress to its own journal,
+//     so a killed batch loses at most the iterations since the last
+//     checkpoint.
+//  3. Finish folds the final snapshot into the campaign's own file and, only
+//     once that write succeeded, records the campaign in the campaign index.
+//     Fail records a spec error; Requeue returns a reclaimed lease's campaign
+//     to pending.
 //
 // Re-running the same batch therefore reattaches every finished campaign and
 // continues every interrupted one. A failed store write never changes a
 // result in memory: it is kept, labelled with its campaign, and reported as
 // Report.StoreErr.
 //
-// Calls for one campaign must not overlap; calls for different campaigns may
-// run concurrently. Report is called after every campaign is resolved.
+// Calls for one campaign are serialized by that campaign's lock; calls for
+// different campaigns run concurrently. Report is called after every
+// campaign is resolved.
 type Batch struct {
 	camps []Campaign
 	st    *store.Store
-	keys  []string // setup key per spec; "" = not persisted
+	keys  []string     // setup key per spec; "" = not persisted
+	locks []sync.Mutex // one per campaign, held by each call for it
 
 	mu   sync.Mutex // guards man and errs
 	man  *store.BatchManifest
@@ -77,7 +81,7 @@ func SetupKey(sp Spec) (string, bool) {
 // annotated with the field-level diff, so the stale result is re-run rather
 // than silently reattached.
 func NewBatch(specs []Spec, st *store.Store, id string) *Batch {
-	b := &Batch{camps: make([]Campaign, len(specs)), st: st}
+	b := &Batch{camps: make([]Campaign, len(specs)), st: st, locks: make([]sync.Mutex, len(specs))}
 	for i, sp := range specs {
 		b.camps[i] = Campaign{Spec: sp, Label: sp.label(), Target: sp.targetName()}
 	}
@@ -141,6 +145,8 @@ func (b *Batch) Start(i int) (snap *core.Snapshot, reused bool) {
 	if !b.persisted(i) {
 		return nil, false
 	}
+	b.locks[i].Lock()
+	defer b.locks[i].Unlock()
 	c := &b.camps[i]
 	snap, file := b.stored(i)
 	want := c.Spec.Iterations
@@ -161,9 +167,10 @@ func (b *Batch) Start(i int) (snap *core.Snapshot, reused bool) {
 }
 
 // stored returns the further of campaign i's two stored snapshots and the
-// file it came from: the one the campaign index names for the setup (which
-// wins a tie), and the campaign's own file, which holds its last checkpoint
-// when an earlier run of it was killed. Either may be missing.
+// campaign name it came from: the one the campaign index names for the
+// setup (which wins a tie), and the campaign's own, whose journal holds its
+// last checkpoint when an earlier run of it was killed. Either may be
+// missing.
 func (b *Batch) stored(i int) (snap *core.Snapshot, file string) {
 	files := []string{b.name(i)}
 	entries, _ := b.st.Index()
@@ -181,18 +188,25 @@ func (b *Batch) stored(i int) (snap *core.Snapshot, file string) {
 	return snap, file
 }
 
-// Checkpoint saves campaign i's running snapshot.
+// Checkpoint appends campaign i's running snapshot to its journal. A
+// snapshot no further than the journal, such as one a reclaimed fleet lease
+// sends late, appends nothing.
 func (b *Batch) Checkpoint(i int, snap *core.Snapshot) {
 	if b.persisted(i) {
-		b.keep(b.camps[i].Label, b.st.SaveCampaign(b.name(i), snap))
+		b.locks[i].Lock()
+		defer b.locks[i].Unlock()
+		b.keep(b.camps[i].Label, b.st.AppendCampaign(b.name(i), snap))
 	}
 }
 
 // Finish resolves campaign i with its result. With a store, final is the
-// engine's last snapshot: it is saved, and only if that write succeeded is
-// the campaign recorded in the campaign index. The manifest entry becomes
-// done, or error with the failed write's message.
+// engine's last snapshot: it is folded into the campaign's own file, and
+// only if that write succeeded is the campaign recorded in the campaign
+// index. The manifest entry becomes done, or error with the failed write's
+// message.
 func (b *Batch) Finish(i int, res core.Result, final *core.Snapshot) {
+	b.locks[i].Lock()
+	defer b.locks[i].Unlock()
 	c := &b.camps[i]
 	c.Result = res
 	if !b.persisted(i) {
@@ -218,6 +232,8 @@ func (b *Batch) Finish(i int, res core.Result, final *core.Snapshot) {
 
 // Fail resolves campaign i with a spec error; its Result stays zero.
 func (b *Batch) Fail(i int, err error) {
+	b.locks[i].Lock()
+	defer b.locks[i].Unlock()
 	b.camps[i].Err = err
 	if b.persisted(i) {
 		b.update(i, func(e *store.BatchEntry) { e.Status, e.Error = store.StatusError, err.Error() })
@@ -228,6 +244,8 @@ func (b *Batch) Fail(i int, err error) {
 // campaign will Start again.
 func (b *Batch) Requeue(i int) {
 	if b.persisted(i) {
+		b.locks[i].Lock()
+		defer b.locks[i].Unlock()
 		b.update(i, func(e *store.BatchEntry) { e.Status = store.StatusPending })
 	}
 }

@@ -306,12 +306,13 @@ func (p *problem) solve() (vals map[expr.Var]int64, ok, provenUnsat bool) {
 			}
 		}
 	}
-	dom := copyDom(p.dom)
-	if !p.propagate(dom) {
+	// Nothing reads p.dom after solve, so propagation and search narrow it
+	// in place; search copies it only per candidate.
+	if !p.propagate(p.dom) {
 		return nil, false, true
 	}
 	asg := map[expr.Var]int64{}
-	if !p.search(dom, asg) {
+	if !p.search(p.dom, asg) {
 		return nil, false, false
 	}
 	return asg, true, false

@@ -10,8 +10,9 @@ import (
 // directory, syncing, and renaming it over the destination. A crash at any
 // point leaves either the old content or the new content, never a truncated
 // mix — this is the primitive every store write (and `compi -state`) goes
-// through. The write callback receives the temp file; if it returns an
-// error, the destination is untouched.
+// through. The write callback receives the temp file, whose writes go
+// through the fileWrite seam; if it returns an error, the destination is
+// untouched.
 func WriteAtomic(path string, write func(io.Writer) error) error {
 	dir := filepath.Dir(path)
 	f, err := os.CreateTemp(dir, "."+filepath.Base(path)+".tmp-*")
@@ -24,7 +25,7 @@ func WriteAtomic(path string, write func(io.Writer) error) error {
 			os.Remove(tmp)
 		}
 	}()
-	if err := write(f); err != nil {
+	if err := write(tempWriter{f}); err != nil {
 		f.Close()
 		return err
 	}
@@ -41,3 +42,8 @@ func WriteAtomic(path string, write func(io.Writer) error) error {
 	tmp = ""
 	return nil
 }
+
+// tempWriter routes WriteAtomic's writes through the fileWrite seam.
+type tempWriter struct{ f *os.File }
+
+func (w tempWriter) Write(b []byte) (int, error) { return fileWrite(w.f, b) }

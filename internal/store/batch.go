@@ -12,10 +12,11 @@ import (
 )
 
 // Batch entry statuses. A batch whose process was killed leaves entries in
-// StatusRunning. The campaign's own snapshot file, which every checkpoint
-// overwrites, is then its resume point: rerunning the batch resumes from it
-// (or from the index's snapshot of the setup, when that got further), so a
-// killed batch loses only the iterations since its last checkpoint.
+// StatusRunning. The campaign's own snapshot with its journal, which every
+// checkpoint extends, is then its resume point: rerunning the batch resumes
+// from it (or from the index's snapshot of the setup, when that got
+// further), so a killed batch loses only the iterations since its last
+// checkpoint.
 const (
 	StatusPending = "pending"
 	StatusRunning = "running"

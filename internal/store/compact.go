@@ -10,13 +10,16 @@ import (
 
 // CompactStats summarizes one Compact pass.
 type CompactStats struct {
-	// Removed lists the campaign files deleted (names without .json), sorted.
+	// Removed lists the campaigns deleted, snapshot and journal, sorted.
 	Removed []string
-	// Kept is the number of campaign files retained.
+	// Kept is the number of campaigns retained.
 	Kept int
 	// Rewritten is the number of batch manifest entries redirected to the
 	// campaign index's authoritative campaign file.
 	Rewritten int
+	// Folded is the number of retained campaigns whose journal, left by an
+	// interrupted campaign, was folded into their snapshot.
+	Folded int
 }
 
 // Compact drops superseded campaign snapshot files. A snapshot is superseded
@@ -36,7 +39,10 @@ type CompactStats struct {
 // would), and only then are unreferenced files removed. Resuming after a
 // Compact therefore reads the same snapshots as resuming before it — the
 // equality the store test suite pins. A missing or unreadable index is
-// rebuilt from the manifests first.
+// rebuilt from the manifests first. Every retained campaign with a journal
+// is folded as Finish folds it: its snapshot rewritten with the journal's
+// records applied, then the journal removed. A campaign that does not load
+// is left as it is, for the resume path to start over.
 func (s *Store) Compact() (CompactStats, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -100,14 +106,39 @@ func (s *Store) Compact() (CompactStats, error) {
 	for _, name := range names {
 		if referenced[name] {
 			st.Kept++
+			folded, err := s.foldJournal(name)
+			if err != nil {
+				return st, err
+			}
+			if folded {
+				st.Folded++
+			}
 			continue
 		}
-		if err := os.Remove(filepath.Join(s.dir, "campaigns", name+".json")); err != nil && !os.IsNotExist(err) {
-			return st, err
+		for _, path := range []string{s.campaignPath(name), s.journalPath(name)} {
+			if err := os.Remove(path); err != nil && !os.IsNotExist(err) {
+				return st, err
+			}
 		}
 		st.Removed = append(st.Removed, name)
 	}
 	return st, nil
+}
+
+// foldJournal folds campaign name's journal, if it has one and the
+// campaign loads, and reports whether it did.
+func (s *Store) foldJournal(name string) (bool, error) {
+	j := s.journal(name)
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if _, err := os.Stat(s.journalPath(name)); err != nil {
+		return false, nil
+	}
+	c, err := s.loadCampaign(name)
+	if err != nil {
+		return false, nil
+	}
+	return true, s.foldLocked(name, j, c.snap)
 }
 
 // saveBatch is SaveBatch for callers already holding s.mu.

@@ -11,18 +11,20 @@
 // Layout of a store directory:
 //
 //	store.json        — store schema version + expr.CanonVersion at creation
-//	campaigns/<name>.json — one core.Snapshot per campaign
+//	campaigns/<name>.json — one core.Snapshot per campaign, as last folded
+//	campaigns/<name>.log  — the checkpoints since, one record each (journal.go)
 //	batches/<id>.json — one BatchManifest per scheduler batch
 //	index.json        — setup key → campaign file and summary, checksummed (index.go)
 //
 // A setups.json or solver.json that earlier versions wrote is left in place
-// and ignored.
+// and ignored, and a build that predates journals ignores the .log files.
 //
-// Every write goes through WriteAtomic, so a killed process can truncate
-// nothing: readers see the previous complete state. One process owns a store
-// directory at a time — Open takes an advisory lockfile (see lock.go) and
-// refuses directories another live process holds, naming the holder's PID.
-// Within the owning process the store is goroutine-safe.
+// Every file but a journal is written through WriteAtomic, so a killed
+// process can truncate none of them: readers see the previous complete
+// state. A journal's torn tail is dropped when it is read. One process owns
+// a store directory at a time — Open takes an advisory lockfile (see
+// lock.go) and refuses directories another live process holds, naming the
+// holder's PID. Within the owning process the store is goroutine-safe.
 package store
 
 import (
@@ -31,6 +33,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -47,6 +50,9 @@ type Store struct {
 	dir      string
 	mu       sync.Mutex
 	ownsLock bool
+
+	jmu      sync.Mutex // guards journals
+	journals map[string]*journal
 }
 
 // storeManifest is the store.json header.
@@ -70,7 +76,7 @@ func Open(dir string) (*Store, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &Store{dir: dir, ownsLock: owns}
+	s := &Store{dir: dir, ownsLock: owns, journals: map[string]*journal{}}
 	manifestPath := filepath.Join(dir, "store.json")
 	if b, err := os.ReadFile(manifestPath); err == nil {
 		var m storeManifest
@@ -129,33 +135,28 @@ func (s *Store) campaignPath(name string) string {
 	return filepath.Join(s.dir, "campaigns", name+".json")
 }
 
-// SaveCampaign atomically writes one campaign snapshot under name. It
-// encodes the snapshot (core.Snapshot.Save's bytes) before taking the store
-// lock, so concurrent campaigns serialize only on the file write.
+// SaveCampaign folds a campaign: it atomically writes snap as name's
+// snapshot, then removes name's journal, whose records snap supersedes.
+// Campaigns fold and append concurrently, each serialized on its own.
 func (s *Store) SaveCampaign(name string, snap *core.Snapshot) error {
-	b, err := snap.MarshalJSON()
-	if err != nil {
-		return err
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return WriteAtomic(s.campaignPath(name), func(w io.Writer) error {
-		_, err := w.Write(append(b, '\n'))
-		return err
-	})
+	j := s.journal(name)
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return s.foldLocked(name, j, snap)
 }
 
-// LoadCampaign reads a campaign snapshot saved under name.
+// LoadCampaign reads a campaign saved under name: its snapshot, if any,
+// with its journal's records applied.
 func (s *Store) LoadCampaign(name string) (*core.Snapshot, error) {
-	f, err := os.Open(s.campaignPath(name))
+	c, err := s.loadCampaign(name)
 	if err != nil {
 		return nil, err
 	}
-	defer f.Close()
-	return core.LoadSnapshot(f)
+	return c.snap, nil
 }
 
-// Campaigns lists the stored campaign names, sorted.
+// Campaigns lists the stored campaign names, sorted: every campaign with a
+// snapshot, a journal or both.
 func (s *Store) Campaigns() ([]string, error) {
 	ents, err := os.ReadDir(filepath.Join(s.dir, "campaigns"))
 	if err != nil {
@@ -163,10 +164,14 @@ func (s *Store) Campaigns() ([]string, error) {
 	}
 	var names []string
 	for _, e := range ents {
-		if n, ok := strings.CutSuffix(e.Name(), ".json"); ok && !strings.HasPrefix(n, ".") {
+		n, ok := strings.CutSuffix(e.Name(), ".json")
+		if !ok {
+			n, ok = strings.CutSuffix(e.Name(), ".log")
+		}
+		if ok && !strings.HasPrefix(n, ".") {
 			names = append(names, n)
 		}
 	}
 	sort.Strings(names)
-	return names, nil
+	return slices.Compact(names), nil
 }

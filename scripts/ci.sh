@@ -78,11 +78,6 @@ echo "== go test -race ./internal/binstat ./internal/expr =="
 # lock-striped hot paths; the race detector is the test that matters.
 go test -race ./internal/binstat ./internal/expr
 
-echo "== go test -race ./internal/core (snapshot encoding) =="
-# An engine keeps extending the encoded history its earlier snapshots still
-# read while a store or fleet checkpoint encodes them.
-go test -race ./internal/core -run 'TestSnapshotEncoding'
-
 echo "== go test -race ./internal/fleet =="
 go test -race ./internal/fleet
 
@@ -264,21 +259,25 @@ echo "== engine throughput trajectory (BENCH_engine.json) =="
 # and the live-solve layer benchmark replaying that campaign's solver calls.
 # The pipe-launch layer benchmark times one launch (~0.1 ms), so it runs 2000;
 # the MPI runtime layer benchmark times one round trip, collective or launch
-# (1-30 us), so it runs 20000; the trace-recording layer benchmark records
-# 2048 branch events per op (20-200 us), so it runs 2000.
+# (1-30 us), so it runs 100000 (at 20000 one binary's runs spread by up to
+# 2.4x); the trace-recording layer benchmark records 2048 branch events per
+# op (20-200 us), so it runs 2000.
 {
   go test -run '^$' -bench 'BenchmarkEngine|BenchmarkSolveIncremental' -benchtime 5x .
   go test -run '^$' -bench 'BenchmarkPipeLaunch' -benchtime 2000x .
-  go test -run '^$' -bench 'BenchmarkMPI' -benchtime 20000x .
+  go test -run '^$' -bench 'BenchmarkMPI' -benchtime 100000x .
   go test -run '^$' -bench 'BenchmarkTraceRecord' -benchtime 2000x .
 } | "$BIN_DIR/compi-bench" -out BENCH_engine.json
 echo "wrote BENCH_engine.json"
 
 echo "== store service trajectory (BENCH_store.json) =="
 # Index query latency (the compi report read path) and the cost of one
-# campaign checkpoint, tracked run-over-run like the engine numbers.
-go test -run '^$' -bench 'BenchmarkStoreQuery|BenchmarkCheckpoint' -benchtime 5x . \
-  | "$BIN_DIR/compi-bench" -out BENCH_store.json
+# campaign fold and one journal record, tracked run-over-run like the engine
+# numbers. A checkpoint write takes 0.05-2 ms, so it runs 200.
+{
+  go test -run '^$' -bench 'BenchmarkStoreQuery' -benchtime 5x .
+  go test -run '^$' -bench 'BenchmarkCheckpoint' -benchtime 200x .
+} | "$BIN_DIR/compi-bench" -out BENCH_store.json
 echo "wrote BENCH_store.json"
 
 echo "CI green."
