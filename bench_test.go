@@ -432,7 +432,7 @@ func mpiSpec(n int, schedules bool, main func(*mpi.Proc) int) mpi.Spec {
 	return mpi.Spec{
 		NProcs:    n,
 		Main:      main,
-		Conc:      func(int) conc.Config { return conc.Config{Mode: conc.Light} },
+		Focus:     -1,
 		Timeout:   time.Minute,
 		Schedules: schedules,
 	}

@@ -151,7 +151,8 @@ func lastOf(hist []entry, name string) (entry, bool) {
 }
 
 // printDelta writes one line per metric: value, previous value, and signed
-// percentage change.
+// percentage change. A previous value of 0 has no percentage; the line shows
+// the absolute change instead, so a count that leaves 0 still prints.
 func printDelta(w io.Writer, e entry, prev entry, found bool) {
 	units := make([]string, 0, len(e.Metrics))
 	for u := range e.Metrics {
@@ -165,12 +166,15 @@ func printDelta(w io.Writer, e entry, prev entry, found bool) {
 			continue
 		}
 		pv, ok := prev.Metrics[u]
-		if !ok || pv == 0 {
+		switch {
+		case !ok:
 			fmt.Fprintf(w, "%-44s %-14s %14.6g  (no previous value)\n", e.Name, u, v)
-			continue
+		case pv == 0:
+			fmt.Fprintf(w, "%-44s %-14s %14.6g  prev 0  %+.6g\n", e.Name, u, v, v)
+		default:
+			fmt.Fprintf(w, "%-44s %-14s %14.6g  prev %.6g  %+.1f%%\n",
+				e.Name, u, v, pv, 100*(v-pv)/pv)
 		}
-		fmt.Fprintf(w, "%-44s %-14s %14.6g  prev %.6g  %+.1f%%\n",
-			e.Name, u, v, pv, 100*(v-pv)/pv)
 	}
 }
 

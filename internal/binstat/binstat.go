@@ -89,9 +89,6 @@ func New() *Profiler {
 	return &Profiler{bins: map[string]*Bin{}}
 }
 
-// Enabled reports whether p actually records (nil means disabled).
-func (p *Profiler) Enabled() bool { return p != nil }
-
 // bin returns the named bin, creating it on first use. The fast path is a
 // read-locked map lookup with no allocation; only a genuinely new name takes
 // the write lock.
@@ -134,14 +131,6 @@ func (s Span) End() {
 		return
 	}
 	s.bin.hit(nanotime() - s.start)
-}
-
-// Hit records one occurrence with no duration (a pure counter bin).
-func (p *Profiler) Hit(what string) {
-	if p == nil {
-		return
-	}
-	p.bin(what).hit(0)
 }
 
 // Observe folds an externally measured duration into the named bin (for

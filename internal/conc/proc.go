@@ -164,14 +164,16 @@ func (e *ErrAssert) Error() string {
 	return fmt.Sprintf("rank %d: assertion failed: %s", e.Rank, e.Msg)
 }
 
+// RandomLo and RandomHi bound the random values of inputs: those a process
+// generates for inputs the engine did not supply (first iteration), and the
+// engine's own random draws.
+const RandomLo, RandomHi int64 = -10, 100
+
 // Config parameterizes a process's concolic runtime.
 type Config struct {
 	Mode      Mode
 	Reduction bool // constraint set reduction (§IV-C); COMPI default on
 	Seed      int64
-	// RandomLo/Hi bound the values generated for inputs that were not
-	// supplied by the engine (first iteration).
-	RandomLo, RandomHi int64
 	// Deadline aborts the run as a hang when exceeded; zero means none.
 	Deadline time.Time
 	// MaxTicks aborts the run as a hang after this many instrumentation
@@ -227,9 +229,6 @@ type Proc struct {
 // the same and SPMD programs read inputs in a uniform order). vars may be
 // nil unless cfg.Mode is Heavy.
 func NewProc(rank int, vars *VarSpace, inputs map[string]int64, cfg Config) *Proc {
-	if cfg.RandomLo == 0 && cfg.RandomHi == 0 {
-		cfg.RandomLo, cfg.RandomHi = -10, 100
-	}
 	if cfg.Mode == Heavy && vars == nil {
 		panic("conc: Heavy mode requires a VarSpace")
 	}
@@ -257,9 +256,6 @@ func (p *Proc) DrawFrom(s *Stream) {
 	}
 	p.draws = s.cursor()
 }
-
-// Rank returns the global rank this runtime belongs to.
-func (p *Proc) Rank() int { return p.rank }
 
 // Param returns the campaign parameter name, or def when the campaign did
 // not set it. Parameters are concrete per-campaign knobs (caps, fix
@@ -300,9 +296,6 @@ func (p *Proc) Tick() {
 		}
 	}
 }
-
-// Ticks returns the number of instrumentation events so far.
-func (p *Proc) Ticks() int64 { return p.ticks }
 
 // Exprs models n instrumented expression evaluations. CREST's heavy
 // instrumentation intercepts every load, store, and arithmetic operation of
@@ -371,7 +364,7 @@ func (p *Proc) input(name string, cap int64, hasCap bool) Value {
 }
 
 func (p *Proc) randomValue(cap int64, hasCap bool) int64 {
-	lo, hi := p.cfg.RandomLo, p.cfg.RandomHi
+	lo, hi := RandomLo, RandomHi
 	if hasCap && cap < hi {
 		hi = cap
 	}

@@ -104,36 +104,21 @@ func NewInProcess(prog *target.Program, vars *conc.VarSpace) Backend {
 }
 
 func (b *inProcess) Launch(s LaunchSpec) mpi.RunResult {
-	deadline := time.Now().Add(s.Timeout)
-	focus := s.Focus
 	return mpi.Launch(mpi.Spec{
 		NProcs: s.NProcs,
 		Main:   b.main,
-		Vars:   b.vars,
-		VarsFor: func(rank int) *conc.VarSpace {
-			if rank == focus {
-				return b.vars
-			}
-			// One-way instrumentation: non-focus Heavy ranks do the full
-			// symbolic work against private spaces.
-			return conc.NewVarSpace()
+		Focus:  s.Focus,
+		OneWay: s.OneWay,
+		Conc: conc.Config{
+			Reduction: s.Reduction,
+			Seed:      s.Seed,
+			Deadline:  time.Now().Add(s.Timeout),
+			MaxTicks:  s.MaxTicks,
+			Params:    s.Params,
+			TraceHint: s.TraceHint,
 		},
-		Inputs: s.Inputs,
-		Conc: func(rank int) conc.Config {
-			mode := conc.Light
-			if rank == focus || s.OneWay {
-				mode = conc.Heavy
-			}
-			return conc.Config{
-				Mode:      mode,
-				Reduction: s.Reduction,
-				Seed:      s.Seed,
-				Deadline:  deadline,
-				MaxTicks:  s.MaxTicks,
-				Params:    s.Params,
-				TraceHint: s.TraceHint,
-			}
-		},
+		Vars:       b.vars,
+		Inputs:     s.Inputs,
 		Timeout:    s.Timeout,
 		Schedules:  s.Schedules,
 		MatchOrder: s.MatchOrder,

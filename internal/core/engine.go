@@ -644,7 +644,7 @@ func (e *Engine) randomizeAll() {
 	sort.Strings(names)
 	for _, n := range names {
 		ci := e.caps[n]
-		lo, hi := int64(-10), int64(100)
+		lo, hi := conc.RandomLo, conc.RandomHi
 		if ci.hasCap {
 			hi = ci.cap
 		}
@@ -686,25 +686,15 @@ func Replay(prog *target.Program, rec ErrorRecord, timeout time.Duration) mpi.Ru
 	if timeout == 0 {
 		timeout = 10 * time.Second
 	}
-	deadline := time.Now().Add(timeout)
-	vars := conc.NewVarSpace()
-	return mpi.Launch(mpi.Spec{
-		NProcs: rec.NProcs,
-		Main:   prog.Main,
-		Vars:   vars,
-		Inputs: cloneInputs(rec.Inputs),
-		Conc: func(rank int) conc.Config {
-			mode := conc.Light
-			if rank == rec.Focus {
-				mode = conc.Heavy
-			}
-			return conc.Config{
-				Mode: mode, Reduction: true, Seed: 1,
-				Deadline: deadline, MaxTicks: 50_000_000,
-				Params: rec.Params,
-			}
-		},
+	return NewInProcess(prog, conc.NewVarSpace()).Launch(LaunchSpec{
+		NProcs:     rec.NProcs,
+		Focus:      rec.Focus,
+		Inputs:     cloneInputs(rec.Inputs),
+		Params:     rec.Params,
+		Seed:       1,
 		Timeout:    timeout,
+		MaxTicks:   50_000_000,
+		Reduction:  true,
 		Schedules:  rec.Schedules || len(rec.MatchOrder) > 0,
 		MatchOrder: rec.MatchOrder,
 	})

@@ -2,7 +2,6 @@ package coverage
 
 import (
 	"reflect"
-	"sync"
 	"testing"
 
 	"repro/internal/conc"
@@ -24,11 +23,12 @@ func TestAddLogAndCount(t *testing.T) {
 	if !tr.Covered(conc.Bit(2, false)) || tr.Covered(conc.Bit(2, true)) {
 		t.Fatal("covered wrong")
 	}
-	if !tr.SiteTouched(2) || tr.SiteTouched(9) {
-		t.Fatal("site touched wrong")
-	}
 	if len(tr.Funcs()) != 2 {
 		t.Fatalf("funcs: %v", tr.Funcs())
+	}
+	tr.Funcs()["h"] = struct{}{}
+	if len(tr.Funcs()) != 2 {
+		t.Fatal("Funcs returned the tracker's own set, not a copy")
 	}
 }
 
@@ -53,21 +53,6 @@ func TestRate(t *testing.T) {
 	tr.AddBranch(conc.Bit(0, false))
 	if r := tr.Rate(8); r != 0.25 {
 		t.Fatalf("rate: %f", r)
-	}
-}
-
-func TestCloneIsIndependent(t *testing.T) {
-	tr := New()
-	tr.AddBranch(conc.Bit(1, true))
-	tr.AddFunc("f")
-	cp := tr.Clone()
-	cp.AddBranch(conc.Bit(2, true))
-	cp.AddFunc("g")
-	if tr.Count() != 1 || cp.Count() != 2 {
-		t.Fatalf("clone aliased: %d %d", tr.Count(), cp.Count())
-	}
-	if len(tr.Funcs()) != 1 || len(cp.Funcs()) != 2 {
-		t.Fatal("funcs aliased")
 	}
 }
 
@@ -100,39 +85,8 @@ func TestMergeEmptyAndDegenerate(t *testing.T) {
 
 	tr.Merge(New()) // empty source: no-op
 	tr.Merge(nil)   // nil source: no-op
-	tr.Merge(tr)    // self-merge must not deadlock or change anything
+	tr.Merge(tr)    // self-merge changes nothing
 	if tr.Count() != 1 {
 		t.Fatalf("count after degenerate merges: %d", tr.Count())
-	}
-}
-
-// TestConcurrentAddLogAndMerge hammers one shared union tracker from
-// concurrent writers the way the scheduler does: per-campaign trackers keep
-// absorbing logs while the union tracker merges them. Run under -race this
-// is the tracker's thread-safety proof.
-func TestConcurrentAddLogAndMerge(t *testing.T) {
-	union := New()
-	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			local := New()
-			for i := 0; i < 200; i++ {
-				local.AddLog(&conc.Log{
-					Covered: []conc.BranchBit{conc.Bit(conc.CondID(w*1000+i), i%2 == 0)},
-					Funcs:   []string{"f"},
-				})
-				union.Merge(local)
-				// Readers race the writers on both trackers.
-				_ = union.Count()
-				_ = local.Branches()
-				_ = union.Funcs()
-			}
-		}(w)
-	}
-	wg.Wait()
-	if got := union.Count(); got != 8*200 {
-		t.Fatalf("union covered %d branches, want %d", got, 8*200)
 	}
 }

@@ -11,13 +11,15 @@ import (
 // all other inputs at their defaults. The paper observes a small coverage
 // increase from 100 to 200, flat coverage beyond, and an execution-time cost
 // at N=1000 of 27.2× the cost at N=200 — the motivation for input capping.
-// The N sweep is one scheduler batch; the enlarged cap that admits the big
-// matrices is a per-campaign parameter.
+// Beside the measured time, each row reports the focus rank's log bytes, a
+// work measure that repeats exactly from run to run. The N sweep is one
+// scheduler batch; the enlarged cap that admits the big matrices is a
+// per-campaign parameter.
 func Fig6(s Scale) *Table {
 	t := &Table{
 		ID:     "fig6",
 		Title:  "HPL coverage and time cost vs. matrix size (defaults otherwise)",
-		Header: []string{"N", "Covered branches", "Time", "Time / Time(200)"},
+		Header: []string{"N", "Covered branches", "Time", "Time / Time(200)", "Focus log (B)"},
 		Notes: []string{
 			"paper: coverage nearly flat from 200 up; time(1000) ~= 27.2 x time(200)",
 		},
@@ -50,6 +52,7 @@ func Fig6(s Scale) *Table {
 			fmt.Sprint(fr.covered),
 			fr.elapsed.Round(1000000).String(),
 			ratio,
+			fmt.Sprint(fr.focusLog),
 		})
 	}
 	return t

@@ -28,8 +28,8 @@ import (
 // ordering, which resolves every asymmetric case; residual ties are
 // genuinely symmetric and either choice serializes identically.
 //
-// The form is persisted (CanonVersion), and testdata/canon_golden.json pins
-// it byte for byte. The implementation keeps it cheap: each predicate's
+// Nothing persists the form; testdata/canon_golden.json pins it byte for
+// byte, so a rewrite cannot change it unnoticed. The implementation keeps it cheap: each predicate's
 // normalization, shape and (for a single variable) refinement role are
 // computed once, refinement signatures are built without fmt, and the greedy
 // ordering keeps every predicate's trial rendering in a heap, re-rendering

@@ -20,14 +20,12 @@ import (
 	"repro/internal/targets/susy"
 )
 
-// The canonical form is persisted: the campaign store keeps proven
-// refutations keyed by CanonicalKey across runs, tagged with CanonVersion.
 // testdata/canon_golden.json pins the exact CanonicalString and key of hand
 // cases, random mixed sets, and predicate sets recorded from short susy-hmc
 // and hpl campaigns (the deepest over 200 predicates), so a rewrite of the
-// canonicalizer that keeps CanonVersion must reproduce every byte.
+// canonicalizer must reproduce every byte.
 //
-// Re-record (only together with a CanonVersion bump):
+// Re-record (only together with a deliberate change of the canonical form):
 //
 //	go test ./internal/expr -run TestCanonicalGolden -update-canon-golden
 

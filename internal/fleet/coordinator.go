@@ -164,9 +164,6 @@ func NewCoordinator(specs []sched.Spec, opt Options) *Coordinator {
 	return c
 }
 
-// BatchID returns the store batch ID ("" without a store).
-func (c *Coordinator) BatchID() string { return c.batch.ID() }
-
 func (c *Coordinator) logf(format string, args ...any) {
 	if c.opt.Logf != nil {
 		c.opt.Logf(format, args...)
@@ -517,9 +514,6 @@ func (c *Coordinator) Wait() *sched.Report {
 	rep.Profile = c.prof.Report()
 	return rep
 }
-
-// Done exposes the batch-drained signal.
-func (c *Coordinator) Done() <-chan struct{} { return c.done }
 
 // ServeStatus answers every connection on ln with one plain-text status
 // dump and closes it — `nc host port` is the whole client.

@@ -86,21 +86,24 @@ func (r RunResult) FirstError() (RankResult, bool) {
 	return RankResult{}, false
 }
 
-// Spec describes one MPMD launch.
+// Spec describes one MPMD launch. It is plain data: the runtime derives each
+// rank's instrumentation mode and variable space from Focus and OneWay.
 type Spec struct {
 	NProcs int
 	Main   func(*Proc) int
-	// Conc returns the instrumentation config for a rank; the engine makes
-	// exactly one rank Heavy (the focus) and the rest Light, which is the
-	// two-way MPMD launch of §III-D.
-	Conc func(rank int) conc.Config
-	// Vars is the engine's variable space, shared with Heavy ranks.
+	// Focus is the rank that runs Heavy on Vars; every other rank runs
+	// Light, which is the two-way MPMD launch of §III-D. A focus outside
+	// [0, NProcs) means no rank is the focus.
+	Focus int
+	// OneWay makes every non-focus rank Heavy too, each on a private
+	// variable space: their symbolic work is real but must not race on the
+	// engine's shared space.
+	OneWay bool
+	// Conc is the instrumentation config of every rank; its Mode is
+	// ignored.
+	Conc conc.Config
+	// Vars is the engine's variable space, shared with the focus rank.
 	Vars *conc.VarSpace
-	// VarsFor, when non-nil, overrides Vars per rank. The engine uses it
-	// under one-way instrumentation so that non-focus Heavy ranks get
-	// private variable spaces (their symbolic work is real but must not
-	// race on the engine's shared space).
-	VarsFor func(rank int) *conc.VarSpace
 	// Inputs are the engine-chosen values for marked input variables.
 	Inputs map[string]int64
 	// Timeout bounds the whole run; ranks still blocked afterwards are
@@ -178,21 +181,18 @@ func (rt *Runtime) run(spec *Spec, finished chan<- struct{}) {
 	for i := range ranks {
 		ranks[i] = i
 	}
-	// Missing inputs are drawn from one stream per seed, which every rank
-	// of the launch replays from its start.
-	var draws *conc.Stream
+	// Missing inputs are drawn from one stream, which every rank of the
+	// launch replays from its start.
+	draws := conc.NewStream(spec.Conc.Seed)
 	for r := range procs {
-		cfg := spec.Conc(r)
-		if draws == nil || draws.Seed() != cfg.Seed {
-			draws = conc.NewStream(cfg.Seed)
-		}
+		cfg := spec.Conc
+		cfg.Mode = conc.Light
 		var vars *conc.VarSpace
-		if cfg.Mode == conc.Heavy {
-			if spec.VarsFor != nil {
-				vars = spec.VarsFor(r)
-			} else {
-				vars = spec.Vars
-			}
+		switch {
+		case r == spec.Focus:
+			cfg.Mode, vars = conc.Heavy, spec.Vars
+		case spec.OneWay:
+			cfg.Mode, vars = conc.Heavy, conc.NewVarSpace()
 		}
 		worlds[r] = Comm{id: 0, ranks: ranks, local: r, world: true, concIdx: -1}
 		p := &procs[r]

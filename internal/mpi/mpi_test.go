@@ -14,16 +14,10 @@ import (
 func run(t *testing.T, n int, main func(*Proc) int) RunResult {
 	t.Helper()
 	return Launch(Spec{
-		NProcs: n,
-		Main:   main,
-		Vars:   conc.NewVarSpace(),
-		Conc: func(rank int) conc.Config {
-			mode := conc.Light
-			if rank == 0 {
-				mode = conc.Heavy
-			}
-			return conc.Config{Mode: mode, Reduction: true, Seed: 42, MaxTicks: 1 << 20}
-		},
+		NProcs:  n,
+		Main:    main,
+		Vars:    conc.NewVarSpace(),
+		Conc:    conc.Config{Reduction: true, Seed: 42, MaxTicks: 1 << 20},
 		Inputs:  map[string]int64{},
 		Timeout: 10 * time.Second,
 	})
@@ -396,14 +390,8 @@ func TestTickBudgetHang(t *testing.T) {
 			p.Barrier(p.World())
 			return 0
 		},
-		Vars: conc.NewVarSpace(),
-		Conc: func(rank int) conc.Config {
-			mode := conc.Light
-			if rank == 0 {
-				mode = conc.Heavy
-			}
-			return conc.Config{Mode: mode, Seed: 1, MaxTicks: 5000}
-		},
+		Vars:    conc.NewVarSpace(),
+		Conc:    conc.Config{Seed: 1, MaxTicks: 5000},
 		Timeout: 10 * time.Second,
 	})
 	if res.Ranks[0].Status != StatusHang {
@@ -424,10 +412,8 @@ func TestDeadlockDetectedImmediately(t *testing.T) {
 			p.Recv(p.World(), 1-p.Rank(), 0)
 			return 0
 		},
-		Vars: conc.NewVarSpace(),
-		Conc: func(rank int) conc.Config {
-			return conc.Config{Mode: conc.Light, Seed: 1}
-		},
+		Focus:   -1,
+		Conc:    conc.Config{Seed: 1},
 		Timeout: 30 * time.Second,
 	})
 	if elapsed := time.Since(start); elapsed > 5*time.Second {
@@ -468,10 +454,8 @@ func TestTrueHangStaysHang(t *testing.T) {
 				p.Tick()
 			}
 		},
-		Vars: conc.NewVarSpace(),
-		Conc: func(rank int) conc.Config {
-			return conc.Config{Mode: conc.Light, Seed: 1, MaxTicks: 1 << 40}
-		},
+		Focus:   -1,
+		Conc:    conc.Config{Seed: 1, MaxTicks: 1 << 40},
 		Timeout: 300 * time.Millisecond,
 	})
 	for _, rr := range res.Ranks {

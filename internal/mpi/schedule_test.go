@@ -14,16 +14,10 @@ import (
 func launchSched(t *testing.T, n int, order [][]int, main func(*Proc) int) RunResult {
 	t.Helper()
 	return Launch(Spec{
-		NProcs: n,
-		Main:   main,
-		Vars:   conc.NewVarSpace(),
-		Conc: func(rank int) conc.Config {
-			mode := conc.Light
-			if rank == 0 {
-				mode = conc.Heavy
-			}
-			return conc.Config{Mode: mode, Seed: 1, MaxTicks: 1 << 20}
-		},
+		NProcs:     n,
+		Main:       main,
+		Vars:       conc.NewVarSpace(),
+		Conc:       conc.Config{Seed: 1, MaxTicks: 1 << 20},
 		Timeout:    10 * time.Second,
 		Schedules:  true,
 		MatchOrder: order,

@@ -16,6 +16,9 @@ import (
 	"repro/internal/target"
 )
 
+// handshakeTimeout bounds the wait for a target's opening handshake frame.
+const handshakeTimeout = 10 * time.Second
+
 // Options configures how a Driver launches and supervises its target.
 type Options struct {
 	// Args are the target binary's command-line arguments.
@@ -27,10 +30,6 @@ type Options struct {
 	// Stderr receives the target's stderr (diagnostics are out-of-band;
 	// the protocol owns stdout). Defaults to this process's stderr.
 	Stderr io.Writer
-
-	// HandshakeTimeout bounds the wait for the opening handshake frame;
-	// default 10s.
-	HandshakeTimeout time.Duration
 
 	// Grace is the read-deadline slack added to each iteration's timeout,
 	// mirroring the in-process runtime's grace period for blocked ranks to
@@ -113,17 +112,13 @@ func Start(bin string, opt Options) (*Driver, error) {
 		d.grace = 5 * time.Second
 	}
 
-	hsTimeout := opt.HandshakeTimeout
-	if hsTimeout <= 0 {
-		hsTimeout = 10 * time.Second
-	}
-	if err := stdout.SetReadDeadline(time.Now().Add(hsTimeout)); err != nil {
+	if err := stdout.SetReadDeadline(time.Now().Add(handshakeTimeout)); err != nil {
 		return d.abort(fmt.Errorf("proto: %v", err))
 	}
 	f, err := ReadFrame(d.br)
 	switch {
 	case errors.Is(err, os.ErrDeadlineExceeded):
-		return d.abort(fmt.Errorf("proto: target %q sent no handshake within %s", d.name(), hsTimeout))
+		return d.abort(fmt.Errorf("proto: target %q sent no handshake within %s", d.name(), handshakeTimeout))
 	case err != nil:
 		return d.abort(fmt.Errorf("proto: target %q sent no handshake: %v", d.name(), err))
 	}

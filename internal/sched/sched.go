@@ -56,10 +56,6 @@ type Spec struct {
 	Overrides spec.Overrides
 }
 
-// External is the out-of-process target descriptor, re-exported so callers
-// build specs from one package.
-type External = spec.External
-
 func (s Spec) label() string {
 	if s.Label != "" {
 		return s.Label

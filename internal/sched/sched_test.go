@@ -61,8 +61,8 @@ func fingerprintOf(r *Report) fingerprint {
 
 // TestRunDeterministicAcrossWorkerCounts is the scheduler's core contract:
 // the same spec list run serially and with 8 workers must produce identical
-// coverage sets and error keys. Run under -race this also exercises the
-// tracker and engine for data races.
+// coverage sets and error keys. Run under -race this also checks that each
+// engine's tracker stays with its engine until the report merges it.
 func TestRunDeterministicAcrossWorkerCounts(t *testing.T) {
 	if testing.Short() {
 		t.Skip("campaign test")
@@ -72,8 +72,8 @@ func TestRunDeterministicAcrossWorkerCounts(t *testing.T) {
 		for _, seed := range []int64{1, 2, 3, 4, 5, 6} {
 			specs = append(specs, skeletonSpec(seed))
 		}
-		// Two stencil campaigns share a target, so the merged tracker sees
-		// concurrent Merge calls from distinct campaigns.
+		// Two stencil campaigns share a target, so its union tracker merges
+		// two campaigns' trackers.
 		for _, seed := range []int64{11, 12} {
 			specs = append(specs, Spec{Campaign: spec.Campaign{
 				Target:     "stencil",

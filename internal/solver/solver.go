@@ -215,16 +215,6 @@ type iv struct{ lo, hi int64 }
 
 func (a iv) empty() bool { return a.lo > a.hi }
 
-func (a iv) clampTo(b iv) iv {
-	if b.lo > a.lo {
-		a.lo = b.lo
-	}
-	if b.hi < a.hi {
-		a.hi = b.hi
-	}
-	return a
-}
-
 // form is a predicate tree's solver form: its linear form, when it has one,
 // and its variables in ascending order. It depends only on the tree, so a
 // predicate and its negation share one form. Forms are read-only once built.

@@ -10,7 +10,7 @@
 //
 // Layout of a store directory:
 //
-//	store.json        — store schema version + expr.CanonVersion at creation
+//	store.json        — store schema version
 //	campaigns/<name>.json — one core.Snapshot per campaign, as last folded
 //	campaigns/<name>.log  — the checkpoints since, one record each (journal.go)
 //	batches/<id>.json — one BatchManifest per scheduler batch
@@ -39,7 +39,6 @@ import (
 	"sync"
 
 	"repro/internal/core"
-	"repro/internal/expr"
 )
 
 // Version is the store directory schema version.
@@ -55,10 +54,11 @@ type Store struct {
 	journals map[string]*journal
 }
 
-// storeManifest is the store.json header.
+// storeManifest is the store.json header. Stores written by earlier builds
+// also carry a "canon" field, which is ignored; those builds ignore its
+// absence in turn.
 type storeManifest struct {
 	Version int `json:"version"`
-	Canon   int `json:"canon"`
 }
 
 // Open opens (creating if necessary) a campaign store at dir and takes the
@@ -92,7 +92,7 @@ func Open(dir string) (*Store, error) {
 		return s, nil
 	}
 	if err := WriteAtomic(manifestPath, func(w io.Writer) error {
-		return json.NewEncoder(w).Encode(storeManifest{Version: Version, Canon: expr.CanonVersion})
+		return json.NewEncoder(w).Encode(storeManifest{Version: Version})
 	}); err != nil {
 		s.Close()
 		return nil, err

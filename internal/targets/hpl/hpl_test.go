@@ -13,16 +13,10 @@ import (
 func launch(t *testing.T, n int, inputs map[string]int64) mpi.RunResult {
 	t.Helper()
 	return mpi.Launch(mpi.Spec{
-		NProcs: n,
-		Main:   Main,
-		Vars:   conc.NewVarSpace(),
-		Conc: func(rank int) conc.Config {
-			mode := conc.Light
-			if rank == 0 {
-				mode = conc.Heavy
-			}
-			return conc.Config{Mode: mode, Reduction: true, Seed: 1, MaxTicks: 50_000_000}
-		},
+		NProcs:  n,
+		Main:    Main,
+		Vars:    conc.NewVarSpace(),
+		Conc:    conc.Config{Reduction: true, Seed: 1, MaxTicks: 50_000_000},
 		Inputs:  inputs,
 		Timeout: 60 * time.Second,
 	})
@@ -156,15 +150,22 @@ func TestBcastVariants(t *testing.T) {
 	}
 }
 
-func TestExecutionTimeScalesWithN(t *testing.T) {
-	in100 := DefaultInputs()
-	in100["n"] = 60
-	in300 := DefaultInputs()
-	in300["n"] = 240
-	r1 := launch(t, 4, in100)
-	r2 := launch(t, 4, in300)
-	if r2.Elapsed <= r1.Elapsed {
-		t.Skipf("timing noise: n=240 (%v) not slower than n=60 (%v)", r2.Elapsed, r1.Elapsed)
+// TestWorkScalesWithN checks that a larger matrix costs the focus rank more
+// work, counted in branch events, which repeat exactly from run to run.
+func TestWorkScalesWithN(t *testing.T) {
+	events := func(n int64) int {
+		in := DefaultInputs()
+		in["n"] = n
+		res := launch(t, 8, in) // the default p=2 x q=4 grid needs 8 ranks
+		if fe, failed := res.FirstError(); failed {
+			t.Fatalf("n=%d: rank %d %v exit=%d err=%v", n, fe.Rank, fe.Status, fe.Exit, fe.Err)
+		}
+		return len(res.Ranks[0].Log.Trace)
+	}
+	small, large := events(60), events(240)
+	t.Logf("focus branch events: %d at n=60, %d at n=240", small, large)
+	if large < 2*small {
+		t.Fatalf("focus branch events: %d at n=240, %d at n=60; want clear growth", large, small)
 	}
 }
 

@@ -12,16 +12,10 @@ import (
 func launch(t *testing.T, n int, inputs map[string]int64) mpi.RunResult {
 	t.Helper()
 	return mpi.Launch(mpi.Spec{
-		NProcs: n,
-		Main:   Main,
-		Vars:   conc.NewVarSpace(),
-		Conc: func(rank int) conc.Config {
-			mode := conc.Light
-			if rank == 0 {
-				mode = conc.Heavy
-			}
-			return conc.Config{Mode: mode, Reduction: true, Seed: 1, MaxTicks: 20_000_000}
-		},
+		NProcs:  n,
+		Main:    Main,
+		Vars:    conc.NewVarSpace(),
+		Conc:    conc.Config{Reduction: true, Seed: 1, MaxTicks: 20_000_000},
 		Inputs:  inputs,
 		Timeout: 30 * time.Second,
 	})

@@ -16,17 +16,10 @@ import (
 func launch(t *testing.T, n int, inputs, params map[string]int64) mpi.RunResult {
 	t.Helper()
 	return mpi.Launch(mpi.Spec{
-		NProcs: n,
-		Main:   Main,
-		Vars:   conc.NewVarSpace(),
-		Conc: func(rank int) conc.Config {
-			mode := conc.Light
-			if rank == 0 {
-				mode = conc.Heavy
-			}
-			return conc.Config{Mode: mode, Reduction: true, Seed: 1,
-				MaxTicks: 20_000_000, Params: params}
-		},
+		NProcs:  n,
+		Main:    Main,
+		Vars:    conc.NewVarSpace(),
+		Conc:    conc.Config{Reduction: true, Seed: 1, MaxTicks: 20_000_000, Params: params},
 		Inputs:  inputs,
 		Timeout: 30 * time.Second,
 	})

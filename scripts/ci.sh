@@ -74,8 +74,9 @@ echo "== go test -race -count=10 (solver service compile cache) =="
 go test -race -count=10 ./internal/solver -run 'TestServiceConcurrent'
 
 echo "== go test -race ./internal/binstat ./internal/expr =="
-# The profiler's concurrent bin updates and the canonical-key memo are both
-# lock-striped hot paths; the race detector is the test that matters.
+# The profiler takes concurrent bin updates from a batch's workers, and the
+# canonical-key memo, which only the benchmark's replay still calls, keeps
+# its concurrency test; the race detector is the test that matters.
 go test -race ./internal/binstat ./internal/expr
 
 echo "== go test -race ./internal/fleet =="
