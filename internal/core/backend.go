@@ -105,20 +105,17 @@ func NewInProcess(prog *target.Program, vars *conc.VarSpace) Backend {
 
 func (b *inProcess) Launch(s LaunchSpec) mpi.RunResult {
 	return mpi.Launch(mpi.Spec{
-		NProcs: s.NProcs,
-		Main:   b.main,
-		Focus:  s.Focus,
-		OneWay: s.OneWay,
-		Conc: conc.Config{
-			Reduction: s.Reduction,
-			Seed:      s.Seed,
-			Deadline:  time.Now().Add(s.Timeout),
-			MaxTicks:  s.MaxTicks,
-			Params:    s.Params,
-			TraceHint: s.TraceHint,
-		},
+		NProcs:     s.NProcs,
+		Main:       b.main,
+		Focus:      s.Focus,
+		OneWay:     s.OneWay,
 		Vars:       b.vars,
 		Inputs:     s.Inputs,
+		Reduction:  s.Reduction,
+		Seed:       s.Seed,
+		MaxTicks:   s.MaxTicks,
+		Params:     s.Params,
+		TraceHint:  s.TraceHint,
 		Timeout:    s.Timeout,
 		Schedules:  s.Schedules,
 		MatchOrder: s.MatchOrder,

@@ -170,13 +170,22 @@ func TestTableIVShape(t *testing.T) {
 	}
 	// HPL's saving must grow with N: the non-focus ranks' one-way log, the
 	// heavy work two-way instrumentation saves, grows with the matrix while
-	// their two-way log does not. Log bytes repeat exactly; the measured
-	// times in the Saving column do not, so no assertion reads them.
+	// their two-way log does not. Log bytes repeat exactly from run to run.
 	if one300, one600 := num(t, cell(t, tab, 2, 5)), num(t, cell(t, tab, 3, 5)); one600 < 2*one300 {
 		t.Fatalf("hpl one-way log %v B at N=600 against %v B at N=300, want growth", one600, one300)
 	}
 	if two300, two600 := num(t, cell(t, tab, 2, 6)), num(t, cell(t, tab, 3, 6)); two600 > two300 {
 		t.Fatalf("hpl two-way log %v B at N=600 against %v B at N=300, want no growth", two600, two300)
+	}
+	// HPL at the larger N must show a substantial time saving. The race
+	// detector's uniform overhead dilutes the heavy/light cost asymmetry,
+	// so under -race the threshold is logged, not enforced.
+	if sv := num(t, cell(t, tab, 3, 4)); sv < 25 {
+		if raceEnabled {
+			t.Logf("hpl N=600 saving %v%% under -race (timing noise tolerated)", sv)
+		} else {
+			t.Fatalf("hpl N=600 saving %v%%, want > 25%%", sv)
+		}
 	}
 }
 

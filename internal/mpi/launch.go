@@ -86,8 +86,8 @@ func (r RunResult) FirstError() (RankResult, bool) {
 	return RankResult{}, false
 }
 
-// Spec describes one MPMD launch. It is plain data: the runtime derives each
-// rank's instrumentation mode and variable space from Focus and OneWay.
+// Spec describes one MPMD launch. It is plain data: each rank's mode and
+// variable space follow from Focus and OneWay, its deadline from Timeout.
 type Spec struct {
 	NProcs int
 	Main   func(*Proc) int
@@ -99,15 +99,18 @@ type Spec struct {
 	// variable space: their symbolic work is real but must not race on the
 	// engine's shared space.
 	OneWay bool
-	// Conc is the instrumentation config of every rank; its Mode is
-	// ignored.
-	Conc conc.Config
 	// Vars is the engine's variable space, shared with the focus rank.
 	Vars *conc.VarSpace
 	// Inputs are the engine-chosen values for marked input variables.
 	Inputs map[string]int64
-	// Timeout bounds the whole run; ranks still blocked afterwards are
-	// reported as hangs. Zero means one minute.
+	// Every rank's conc.Config fields of the same names.
+	Reduction bool
+	Seed      int64
+	MaxTicks  int64
+	Params    map[string]int64
+	TraceHint int
+	// Timeout bounds the whole run: ranks still running or blocked past it
+	// are stopped and reported as hangs. Zero means one minute.
 	Timeout time.Duration
 	// Schedules turns on schedule-space semantics: wildcard receives match
 	// only at quiescence (every other live rank blocked or finished), which
@@ -133,7 +136,7 @@ func Launch(spec Spec) RunResult {
 	start := time.Now()
 	rt := newRuntime(spec.NProcs, spec.Schedules, spec.MatchOrder)
 	finished := make(chan struct{})
-	go rt.run(&spec, finished)
+	go rt.run(&spec, start.Add(spec.Timeout), finished)
 
 	// The watchdog is stopped as soon as the ranks finish: a pending timer
 	// stays in memory until it fires, and campaigns launch far more often
@@ -171,7 +174,7 @@ func Launch(spec Spec) RunResult {
 // runnable ranks in cyclic rank order, each until it blocks in a receive,
 // yields in a Test, or returns. When no rank is runnable and some are
 // blocked, quiesce grants a wildcard match or proves a deadlock.
-func (rt *Runtime) run(spec *Spec, finished chan<- struct{}) {
+func (rt *Runtime) run(spec *Spec, deadline time.Time, finished chan<- struct{}) {
 	defer close(finished)
 	n := spec.NProcs
 	procs := make([]Proc, n)
@@ -183,10 +186,17 @@ func (rt *Runtime) run(spec *Spec, finished chan<- struct{}) {
 	}
 	// Missing inputs are drawn from one stream, which every rank of the
 	// launch replays from its start.
-	draws := conc.NewStream(spec.Conc.Seed)
+	draws := conc.NewStream(spec.Seed)
 	for r := range procs {
-		cfg := spec.Conc
-		cfg.Mode = conc.Light
+		cfg := conc.Config{
+			Mode:      conc.Light,
+			Reduction: spec.Reduction,
+			Seed:      spec.Seed,
+			Deadline:  deadline,
+			MaxTicks:  spec.MaxTicks,
+			Params:    spec.Params,
+			TraceHint: spec.TraceHint,
+		}
 		var vars *conc.VarSpace
 		switch {
 		case r == spec.Focus:

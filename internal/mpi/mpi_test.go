@@ -14,12 +14,14 @@ import (
 func run(t *testing.T, n int, main func(*Proc) int) RunResult {
 	t.Helper()
 	return Launch(Spec{
-		NProcs:  n,
-		Main:    main,
-		Vars:    conc.NewVarSpace(),
-		Conc:    conc.Config{Reduction: true, Seed: 42, MaxTicks: 1 << 20},
-		Inputs:  map[string]int64{},
-		Timeout: 10 * time.Second,
+		NProcs:    n,
+		Main:      main,
+		Vars:      conc.NewVarSpace(),
+		Reduction: true,
+		Seed:      42,
+		MaxTicks:  1 << 20,
+		Inputs:    map[string]int64{},
+		Timeout:   10 * time.Second,
 	})
 }
 
@@ -390,9 +392,10 @@ func TestTickBudgetHang(t *testing.T) {
 			p.Barrier(p.World())
 			return 0
 		},
-		Vars:    conc.NewVarSpace(),
-		Conc:    conc.Config{Seed: 1, MaxTicks: 5000},
-		Timeout: 10 * time.Second,
+		Vars:     conc.NewVarSpace(),
+		Seed:     1,
+		MaxTicks: 5000,
+		Timeout:  10 * time.Second,
 	})
 	if res.Ranks[0].Status != StatusHang {
 		t.Fatalf("rank 0: %+v", res.Ranks[0])
@@ -413,7 +416,7 @@ func TestDeadlockDetectedImmediately(t *testing.T) {
 			return 0
 		},
 		Focus:   -1,
-		Conc:    conc.Config{Seed: 1},
+		Seed:    1,
 		Timeout: 30 * time.Second,
 	})
 	if elapsed := time.Since(start); elapsed > 5*time.Second {
@@ -454,9 +457,10 @@ func TestTrueHangStaysHang(t *testing.T) {
 				p.Tick()
 			}
 		},
-		Focus:   -1,
-		Conc:    conc.Config{Seed: 1, MaxTicks: 1 << 40},
-		Timeout: 300 * time.Millisecond,
+		Focus:    -1,
+		Seed:     1,
+		MaxTicks: 1 << 40,
+		Timeout:  300 * time.Millisecond,
 	})
 	for _, rr := range res.Ranks {
 		if rr.Status == StatusDeadlock {

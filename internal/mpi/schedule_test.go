@@ -17,7 +17,8 @@ func launchSched(t *testing.T, n int, order [][]int, main func(*Proc) int) RunRe
 		NProcs:     n,
 		Main:       main,
 		Vars:       conc.NewVarSpace(),
-		Conc:       conc.Config{Seed: 1, MaxTicks: 1 << 20},
+		Seed:       1,
+		MaxTicks:   1 << 20,
 		Timeout:    10 * time.Second,
 		Schedules:  true,
 		MatchOrder: order,

@@ -13,12 +13,14 @@ import (
 func launch(t *testing.T, n int, inputs map[string]int64) mpi.RunResult {
 	t.Helper()
 	return mpi.Launch(mpi.Spec{
-		NProcs:  n,
-		Main:    Main,
-		Vars:    conc.NewVarSpace(),
-		Conc:    conc.Config{Reduction: true, Seed: 1, MaxTicks: 50_000_000},
-		Inputs:  inputs,
-		Timeout: 60 * time.Second,
+		NProcs:    n,
+		Main:      Main,
+		Vars:      conc.NewVarSpace(),
+		Reduction: true,
+		Seed:      1,
+		MaxTicks:  50_000_000,
+		Inputs:    inputs,
+		Timeout:   60 * time.Second,
 	})
 }
 
@@ -150,9 +152,10 @@ func TestBcastVariants(t *testing.T) {
 	}
 }
 
-// TestWorkScalesWithN checks that a larger matrix costs the focus rank more
-// work, counted in branch events, which repeat exactly from run to run.
-func TestWorkScalesWithN(t *testing.T) {
+// TestExecutionTimeScalesWithN checks that a larger matrix costs the focus
+// rank more execution work, counted in branch events, which repeat exactly
+// from run to run where wall-clock times do not.
+func TestExecutionTimeScalesWithN(t *testing.T) {
 	events := func(n int64) int {
 		in := DefaultInputs()
 		in["n"] = n

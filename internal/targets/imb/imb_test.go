@@ -12,12 +12,14 @@ import (
 func launch(t *testing.T, n int, inputs map[string]int64) mpi.RunResult {
 	t.Helper()
 	return mpi.Launch(mpi.Spec{
-		NProcs:  n,
-		Main:    Main,
-		Vars:    conc.NewVarSpace(),
-		Conc:    conc.Config{Reduction: true, Seed: 1, MaxTicks: 20_000_000},
-		Inputs:  inputs,
-		Timeout: 30 * time.Second,
+		NProcs:    n,
+		Main:      Main,
+		Vars:      conc.NewVarSpace(),
+		Reduction: true,
+		Seed:      1,
+		MaxTicks:  20_000_000,
+		Inputs:    inputs,
+		Timeout:   30 * time.Second,
 	})
 }
 

@@ -17,12 +17,15 @@ func launch(t *testing.T, n int, inputs, params map[string]int64, timeout time.D
 		timeout = 20 * time.Second
 	}
 	return mpi.Launch(mpi.Spec{
-		NProcs:  n,
-		Main:    Main,
-		Vars:    conc.NewVarSpace(),
-		Conc:    conc.Config{Reduction: true, Seed: 1, MaxTicks: 3_000_000, Params: params},
-		Inputs:  inputs,
-		Timeout: timeout,
+		NProcs:    n,
+		Main:      Main,
+		Vars:      conc.NewVarSpace(),
+		Reduction: true,
+		Seed:      1,
+		MaxTicks:  3_000_000,
+		Params:    params,
+		Inputs:    inputs,
+		Timeout:   timeout,
 	})
 }
 
